@@ -12,13 +12,12 @@ import sys
 import numpy as np
 
 from . import bench, idlaws, measures, ncpart
-from .errors import (EvaluatorFailed, FixedPointDiverged, FreeconvError,
-                     InversionDiverged)
+from .errors import FixedPointDiverged, FreeconvError, InversionDiverged
 from .inversion import kolmogorov, load_cdf_csv, stieltjes_cdf
 from .subordination import solve_Zn_grid, solve_pair_grid
 from .transforms import as_evaluator
 
-NUMERICAL_ERRORS = (FixedPointDiverged, InversionDiverged, EvaluatorFailed)
+NUMERICAL_ERRORS = (FixedPointDiverged, InversionDiverged)
 
 
 class _UsageError(Exception):

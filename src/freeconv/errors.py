@@ -53,9 +53,5 @@ class FixedPointDiverged(FreeconvError):
         self.last_iterate = last_iterate
 
 
-class EvaluatorFailed(FreeconvError):
-    pass
-
-
 class ScheduleTooShort(FreeconvError):
     pass

@@ -134,8 +134,9 @@ def _extrapolation_weights(schedule):
     return np.linalg.solve(V.T, e0), len(schedule) - etas.size
 
 
-def _interval_masses(g, xs, eta, refine=None):
-    dens = np.maximum(-np.imag(g(xs + 1j * eta)) / np.pi, 0.0)
+def _interval_masses(g, xs, eta, row, refine=None):
+    """Interval masses at one eta level; row holds g(xs + i eta)."""
+    dens = np.maximum(-np.imag(row) / np.pi, 0.0)
     h = np.diff(xs)
     masses = 0.5 * h * (dens[:-1] + dens[1:])
     # On cells no wider than eta the endpoint trapezoid is kept even where it
@@ -160,7 +161,7 @@ def _interval_masses(g, xs, eta, refine=None):
     return masses
 
 
-def _detect_atoms(g, xs, eta, total_mass):
+def _detect_atoms(g, xs, eta, total_mass, row):
     """Locate point masses sitting on grid nodes, before the continuous pass.
 
     Candidates come from cells concentrating a large share of the total mass
@@ -171,9 +172,9 @@ def _detect_atoms(g, xs, eta, total_mass):
     candidate is accepted only when that estimate accounts for at least half
     of the concentrated run's mass; resolved steep densities fail this and
     stay continuous, as do atoms farther than about eta from every node.
-    Returns a list of (node_index, weight).
+    row holds g(xs + i eta).  Returns a list of (node_index, weight).
     """
-    dens = np.maximum(-np.imag(g(xs + 1j * eta)) / np.pi, 0.0)
+    dens = np.maximum(-np.imag(row) / np.pi, 0.0)
     h = np.diff(xs)
     cell = 0.5 * h * (dens[:-1] + dens[1:])
     heavy = np.nonzero(cell > ATOM_CELL_THRESHOLD * total_mass)[0]
@@ -218,7 +219,13 @@ def stieltjes_cdf(g, xs, eta_schedule=(0.04, 0.02, 0.01),
                                             zip(schedule[1:], schedule[:-1])):
         raise ScheduleTooShort("eta schedule must be strictly decreasing and positive")
     jumps = np.zeros(xs.size)
-    atoms = _detect_atoms(g, xs, schedule[-1], total_mass)
+    weights, skip = _extrapolation_weights(schedule)
+    used = schedule[skip:]
+    # each full-grid row is evaluated once; the smallest level's row also
+    # serves atom detection
+    z_min = xs + 1j * used[-1]
+    row_min = g(z_min)
+    atoms = _detect_atoms(g, xs, used[-1], total_mass, row_min)
     gc = g
     if atoms:
         pos = np.array([xs[j] for j, _ in atoms])
@@ -226,21 +233,25 @@ def stieltjes_cdf(g, xs, eta_schedule=(0.04, 0.02, 0.01),
         for j, w in atoms:
             jumps[j] += w
 
+        def remove_atoms(z, gz):
+            return np.asarray(gz, dtype=complex) - \
+                np.sum(wts / (z[..., None] - pos), axis=-1)
+
         # integrate the continuous remainder; the detected point masses are
         # re-added as jumps below
         def gc(z):
             z = np.asarray(z, dtype=complex)
-            return np.asarray(g(z), dtype=complex) - \
-                np.sum(wts / (z[..., None] - pos), axis=-1)
+            return remove_atoms(z, g(z))
 
-    weights, skip = _extrapolation_weights(schedule)
-    used = schedule[skip:]
-    per_eta = [_interval_masses(gc, xs, eta) for eta in used]
+        row_min = remove_atoms(z_min, row_min)
+    rows = [gc(xs + 1j * eta) for eta in used[:-1]] + [row_min]
+    per_eta = [_interval_masses(gc, xs, eta, row) for eta, row in zip(used, rows)]
     masses = sum(w * m for w, m in zip(weights, per_eta))
     # concentrated cells get a refined re-integration at every used level
     refine = np.nonzero(masses > ATOM_CELL_THRESHOLD * total_mass)[0]
     if refine.size:
-        per_eta = [_interval_masses(gc, xs, eta, refine=refine) for eta in used]
+        per_eta = [_interval_masses(gc, xs, eta, row, refine=refine)
+                   for eta, row in zip(used, rows)]
         masses = sum(w * m for w, m in zip(weights, per_eta))
     masses = np.maximum(masses, 0.0)
     cont = np.concatenate(([0.0], np.cumsum(masses)))   # mass strictly below node k

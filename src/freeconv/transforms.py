@@ -16,12 +16,48 @@ from .measures import Measure
 
 HALF_PLANE_TOL = 1e-10
 
-# The closed-form segment integral suffers catastrophic cancellation when the
-# segment is much shorter than its distance to z (steep narrow segments make
-# c and d huge while the log is tiny).  Far segments are integrated with
-# Gauss-Legendre instead, which is exact to machine precision in that regime.
+# Density part of G and G' (the atoms are summed directly).  Three zones:
+#
+# * far points, |z - c| > _LAURENT_RHO * R about the centre c and half-width R
+#   of the density's support, use the Laurent series
+#   G(z) = sum_k nu_k R^k / (z - c)^(k+1), with nu_k = int ((t - c)/R)^k p(t) dt
+#   the exact moments of the piecewise-linear density;
+# * for the other points, a segment is far when its length is below
+#   _FAR_RATIO times its midpoint's distance to z.  Far segments are integrated
+#   with 6-node Gauss-Legendre, exact to machine precision in that regime,
+#   written as one weight vector over all nodes;
+# * near segments use the closed-form integral, in real arithmetic.  It is not
+#   used for far segments, where it cancels catastrophically.
+#
+# G' is the Cauchy transform of the distributional derivative of p: the
+# piecewise-constant slope plus signed point masses where p jumps at the ends
+# of its grid.  This avoids 1/(z - t)^2, whose segment terms at a node nearly
+# cancel between the two adjacent segments.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _FAR_RATIO = 0.1
+_LAURENT_RHO = 2.0
+_EPS = np.finfo(float).eps
+
+
+def _laurent_order(rho: float) -> int:
+    """Smallest K whose truncation bounds for G and G' are below eps.
+
+    With |nu_k| <= mass and x = 1/rho, the tails after order K are at most
+    x^(K+1)/(1 - x) (G, relative to mass/|z - c|) and
+    (K+2) x^(K+1)/(1 - x)^2 (G', relative to mass/|z - c|^2).
+    """
+    x = 1.0 / rho
+    k = 0
+    while (k + 2) * x ** (k + 1) / (1.0 - x) ** 2 > _EPS:
+        k += 1
+    return k
+
+
+_LAURENT_ORDER = _laurent_order(_LAURENT_RHO)
+# points per block are chosen so that each temporary array holds about this
+# many elements, which bounds memory and keeps the blocks in cache
+_BLOCK = 1 << 15
+_DOT_CHUNK = 8192
 
 
 def require_upper(z):
@@ -31,64 +67,164 @@ def require_upper(z):
     return z
 
 
-def _density_segments(m: Measure):
-    t0, t1 = m.grid[:-1], m.grid[1:]
-    v0, v1 = m.density[:-1], m.density[1:]
-    keep = (v0 != 0) | (v1 != 0)
-    t0, t1, v0, v1 = t0[keep], t1[keep], v0[keep], v1[keep]
-    d = (v1 - v0) / (t1 - t0)
-    c = v0 - d * t0
-    return t0, t1, c, d
+def _rowdot(a, w):
+    """a @ w, with each row's value independent of the other rows.
+
+    BLAS gemv rounds a row differently with its position in the block and
+    with the BLAS thread count.  einsum does not, for rows up to its buffer
+    size (8192); longer rows are summed in chunks of that length.
+    """
+    out = np.einsum("ij,j->i", a[:, :_DOT_CHUNK], w[:_DOT_CHUNK])
+    for s in range(_DOT_CHUNK, w.size, _DOT_CHUNK):
+        out += np.einsum("ij,j->i", a[:, s:s + _DOT_CHUNK], w[s:s + _DOT_CHUNK])
+    return out
+
+
+class _DensityKernel:
+    """Set-up of the density part of one measure: segments, nodes, moments."""
+
+    def __init__(self, m: Measure):
+        t0, t1 = m.grid[:-1], m.grid[1:]
+        v0, v1 = m.density[:-1], m.density[1:]
+        keep = (v0 != 0) | (v1 != 0)
+        t0, t1, v0, v1 = t0[keep], t1[keep], v0[keep], v1[keep]
+        self.size = t0.size
+        if not self.size:
+            return
+        h = t1 - t0
+        self.t0, self.t1, self.v0, self.dv = t0, t1, v0, v1 - v0
+        self.h, self.d = h, (v1 - v0) / h
+        self.tm = 0.5 * (t0 + t1)
+        self.near_r2 = (h / _FAR_RATIO) ** 2
+        u = 0.5 * (1.0 + _GL_NODES)
+        half_w = 0.5 * h[:, None] * _GL_WEIGHTS
+        self.nodes = (t0[:, None] + h[:, None] * u).ravel()
+        self.weights = ((half_w * (v0[:, None] * (1.0 - u) + v1[:, None] * u)).ravel(),
+                        (half_w * self.d[:, None]).ravel())
+        # jumps of p at the ends of its support, point masses of p'
+        self.jumps = [(t, s) for t, s in ((t0[0], v0[0]), (t1[-1], -v1[-1])) if s]
+        lo, hi = float(t0[0]), float(t1[-1])
+        self.center, self.radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nu = self._moments((t0 - self.center) / self.radius,
+                           (t1 - self.center) / self.radius, h, v0, v1)
+        self.series = (nu.astype(complex),
+                       (-np.arange(1, nu.size + 1) * nu).astype(complex))
+
+    @staticmethod
+    def _moments(s0, s1, h, v0, v1):
+        """nu_k for k <= _LAURENT_ORDER, exact for the piecewise-linear density.
+
+        On a segment, int s^k p = h (v0 P_k + v1 Q_k) / ((k+1)(k+2)), where
+        P_k = sum_j (k+1-j) s0^(k-j) s1^j and Q_k = sum_j (j+1) s0^(k-j) s1^j.
+        Both follow from e_k = sum_j s0^(k-j) s1^j by one-term recurrences,
+        whose terms share a sign away from the centre, so nothing cancels.
+        """
+        e = np.ones_like(s0)
+        P, Q, s1k = e.copy(), e.copy(), e.copy()
+        nu = np.empty(_LAURENT_ORDER + 1)
+        nu[0] = np.sum(h * (v0 + v1)) / 2.0
+        for k in range(1, _LAURENT_ORDER + 1):
+            s1k *= s1
+            e = s0 * e + s1k
+            P = s0 * P + e
+            Q = s1 * Q + e
+            nu[k] = np.sum(h * (v0 * P + v1 * Q)) / ((k + 1) * (k + 2))
+        return nu
+
+    def __call__(self, z, order: int):
+        """G (order 0) or G' (order 1) of the density at a 1-d array z."""
+        out = np.empty(z.shape, dtype=complex)
+        far = np.abs(z - self.center) > _LAURENT_RHO * self.radius
+        for idx, step, fn in ((np.nonzero(far)[0], _BLOCK // (_LAURENT_ORDER + 1),
+                               self._laurent),
+                              (np.nonzero(~far)[0], _BLOCK // self.nodes.size,
+                               self._direct)):
+            step = max(step, 1)
+            for s in range(0, idx.size, step):
+                b = idx[s:s + step]
+                out[b] = fn(z[b], order)
+        return out
+
+    def _laurent(self, z, order):
+        u = z - self.center
+        w = np.empty((u.size, _LAURENT_ORDER + 1), dtype=complex)
+        w[:, 0] = 1.0
+        w[:, 1:] = (self.radius / u)[:, None]
+        np.cumprod(w, axis=1, out=w)
+        s = _rowdot(w, self.series[order])
+        return s / u if order == 0 else s / (u * u)
+
+    def _direct(self, z, order):
+        x, y = z.real, z.imag
+        y2 = (y * y)[:, None]
+        dm = x[:, None] - self.tm
+        i, j = np.nonzero(dm * dm + y2 <= self.near_r2)
+        # far segments: sum_k W_k / (z - tau_k) with the near ones zeroed
+        dx = x[:, None] - self.nodes
+        r = dx * dx
+        r += y2
+        np.reciprocal(r, out=r)
+        r.reshape(z.size, self.size, _GL_NODES.size)[i, j] = 0.0
+        dx *= r
+        wts = self.weights[order]
+        re = _rowdot(dx, wts)
+        im = -y * _rowdot(r, wts)
+        # near segments: L = log((z - t0)/(z - t1)), exactly
+        xi, yi, h = x[i], y[i], self.h[j]
+        dx0, dx1 = xi - self.t0[j], xi - self.t1[j]
+        yy = yi * yi
+        Lr = 0.5 * np.log((dx0 * dx0 + yy) / (dx1 * dx1 + yy))
+        Li = np.arctan2(-yi * h, dx0 * dx1 + yy)
+        d = self.d[j]
+        if order == 0:
+            # int (v0 + d (t - t0))/(z - t) dt = (v0 + d (z - t0)) L - (v1 - v0)
+            a, b = self.v0[j] + d * dx0, d * yi
+            near_re, near_im = a * Lr - b * Li - self.dv[j], a * Li + b * Lr
+        else:
+            near_re, near_im = d * Lr, d * Li
+        re += np.bincount(i, near_re, minlength=z.size)
+        im += np.bincount(i, near_im, minlength=z.size)
+        out = re + 1j * im
+        if order == 1:
+            for t, s in self.jumps:
+                out += s / (z - t)
+        return out
+
+
+def _density_kernel(m: Measure) -> _DensityKernel:
+    """The measure's kernel set-up, built on first use and kept on it."""
+    kernel = m.__dict__.get("_density_kernel")
+    if kernel is None:
+        kernel = _DensityKernel(m)
+        object.__setattr__(m, "_density_kernel", kernel)
+    return kernel
+
+
+def _measure_transform(m: Measure, z, order: int):
+    """G (order 0) or G' (order 1): atoms summed directly, density by kernel."""
+    z = np.asarray(z, dtype=complex)
+    val = np.zeros(z.shape, dtype=complex)
+    if m.atom_positions.size:
+        zz = z[..., None]
+        if order == 0:
+            val += np.sum(m.atom_weights / (zz - m.atom_positions), axis=-1)
+        else:
+            val -= np.sum(m.atom_weights / (zz - m.atom_positions) ** 2, axis=-1)
+    if m.grid.size:
+        kernel = _density_kernel(m)
+        if kernel.size:
+            val += kernel(z.ravel(), order).reshape(z.shape)
+    return val if val.shape else complex(val)
 
 
 def measure_cauchy(m: Measure, z):
-    """G(z) = integral of 1/(z-t); exact per atom and per linear segment."""
-    z = np.asarray(z, dtype=complex)
-    zz = z[..., None]
-    val = np.zeros(z.shape, dtype=complex)
-    if m.atom_positions.size:
-        val += np.sum(m.atom_weights / (zz - m.atom_positions), axis=-1)
-    if m.grid.size:
-        t0, t1, c, d = _density_segments(m)
-        if t0.size:
-            # int (c+dt)/(z-t) dt = (c+dz) log((z-t0)/(z-t1)) - d (t1-t0)
-            tm = 0.5 * (t0 + t1)
-            half = 0.5 * (t1 - t0)
-            with np.errstate(invalid="ignore"):
-                L = np.log((zz - t0) / (zz - t1))
-            exact = (c + d * zz) * L - d * (t1 - t0)
-            quad = np.zeros_like(exact)
-            for u, wgt in zip(_GL_NODES, _GL_WEIGHTS):
-                tk = tm + half * u
-                quad += wgt * (c + d * tk) / (zz - tk)
-            quad *= half
-            far = 2.0 * half < _FAR_RATIO * np.abs(zz - tm)
-            val += np.sum(np.where(far, quad, exact), axis=-1)
-    return val if val.shape else complex(val)
+    """G(z) = integral of 1/(z-t), to machine precision per atom and segment."""
+    return _measure_transform(m, z, 0)
 
 
 def measure_cauchy_prime(m: Measure, z):
-    z = np.asarray(z, dtype=complex)
-    zz = z[..., None]
-    val = np.zeros(z.shape, dtype=complex)
-    if m.atom_positions.size:
-        val -= np.sum(m.atom_weights / (zz - m.atom_positions) ** 2, axis=-1)
-    if m.grid.size:
-        t0, t1, c, d = _density_segments(m)
-        if t0.size:
-            tm = 0.5 * (t0 + t1)
-            half = 0.5 * (t1 - t0)
-            with np.errstate(invalid="ignore"):
-                L = np.log((zz - t0) / (zz - t1))
-            exact = d * L + (c + d * zz) * (1.0 / (zz - t0) - 1.0 / (zz - t1))
-            quad = np.zeros_like(exact)
-            for u, wgt in zip(_GL_NODES, _GL_WEIGHTS):
-                tk = tm + half * u
-                quad -= wgt * (c + d * tk) / (zz - tk) ** 2
-            quad *= half
-            far = 2.0 * half < _FAR_RATIO * np.abs(zz - tm)
-            val += np.sum(np.where(far, quad, exact), axis=-1)
-    return val if val.shape else complex(val)
+    """G'(z) = -integral of 1/(z-t)^2."""
+    return _measure_transform(m, z, 1)
 
 
 def as_evaluator(source):
@@ -236,17 +372,21 @@ def nevanlinna_sigma(m: Measure, grid_points: int = 2001,
 
 
 def _atomic_sigma(m: Measure) -> Measure:
+    """sigma of an atomic law: atoms at the poles of F = 1/G, the zeros of G.
+
+    On each gap between neighbouring atoms G = sum w_i/(z - x_i) falls from
+    +inf to -inf, so it has exactly one zero there; all gaps are bisected
+    together, down to adjacent floats.  F has residue 1/G'(r) < 0 at a zero
+    r, so the sigma atom at r weighs 1/|G'(r)|.
+    """
     pos, wts = m.atom_positions, m.atom_weights
     if pos.size == 1:
         return Measure()
-    # G = P/Q with Q = prod (z - x_i); sigma sits at the zeros of P
-    Q = np.poly(pos)
-    P = np.zeros(pos.size, dtype=float)
-    for i in range(pos.size):
-        P = P + wts[i] * np.poly(np.delete(pos, i))
-    roots = np.roots(P)
-    roots = np.sort(roots.real)
-    Pp = np.polyder(P)
-    weights = -np.polyval(Q, roots) / np.polyval(Pp, roots)
-    keep = weights > 0
-    return Measure(atom_positions=roots[keep], atom_weights=weights[keep])
+    lo, hi = pos[:-1], pos[1:]
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        above = np.sum(wts / (mid[:, None] - pos), axis=1) > 0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        mid = 0.5 * (lo + hi)
+    weights = 1.0 / np.sum(wts / (mid[:, None] - pos) ** 2, axis=1)
+    return Measure(atom_positions=mid, atom_weights=weights)

@@ -1,14 +1,24 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freeconv
+
 from freeconv.errors import (InversionDiverged, NotCentered,
                              NotUpperHalfPlane)
 from freeconv.inversion import kolmogorov, measure_to_cdf
-from freeconv.measures import bernoulli_measure, make_atomic, semicircle_measure
+from freeconv.measures import (bernoulli_measure, from_density, make_atomic,
+                               semicircle_measure)
 from freeconv.ncpart import moments_to_cumulants
-from freeconv.transforms import (c1_index, cauchy, nevanlinna_sigma,
+from freeconv.transforms import (c1_index, cauchy, measure_cauchy,
+                                 measure_cauchy_prime, nevanlinna_sigma,
                                  newton_invert, reciprocal_cauchy,
                                  reciprocal_pair, voiculescu)
 
@@ -173,6 +183,28 @@ class TestNevanlinnaSigma:
         with pytest.raises(NotCentered):
             nevanlinna_sigma(delta(1.0))
 
+    @staticmethod
+    def random_centered_law(k, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2.0, 2.0, k)
+        w = rng.dirichlet(np.ones(k))
+        return make_atomic(list(zip(x - np.dot(w, x), w)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 500), st.integers(0, 2**32 - 1))
+    def test_atomic_mass_is_variance(self, k, seed):
+        m = self.random_centered_law(k, seed)
+        sig = nevanlinna_sigma(m)
+        assert sig.atom_positions.size == m.atom_positions.size - 1
+        assert abs(sig.mass() - m.variance()) < 1e-9
+
+    @pytest.mark.parametrize("k", [40, 80, 500])
+    def test_atomic_zeros_interlace_atoms(self, k):
+        m = self.random_centered_law(k, k)
+        sig = nevanlinna_sigma(m)
+        pos = m.atom_positions
+        assert np.all((pos[:-1] < sig.atom_positions) & (sig.atom_positions < pos[1:]))
+
 
 def exact_moments(m, kmax):
     """Moments of the measure with the piecewise-linear density integrated
@@ -222,3 +254,113 @@ class TestMomentAsymptotics:
         exact = moments_to_cumulants(exact_moments(m, 4)[1:])
         fitted = moments_to_cumulants(est)
         assert np.max(np.abs(np.subtract(fitted, exact))) < 1e-2
+
+
+# -- the grid-density kernel against an mpmath reference ---------------------
+
+def _mp_reference(m, zs):
+    """G and G' of a measure at zs, per atom and per linear segment, exactly
+    in 50-digit arithmetic from the measure's own (binary) grid values."""
+    mp = pytest.importorskip("mpmath")
+    ctx = mp.mp.clone()
+    ctx.dps = 50
+    t = [ctx.mpf(float(x)) for x in m.grid]
+    v = [ctx.mpf(float(x)) for x in m.density]
+    G, Gp = [], []
+    for z in zs:
+        zm = ctx.mpc(z.real, z.imag)
+        g = gp = ctx.mpc(0)
+        for x, w in zip(m.atom_positions, m.atom_weights):
+            r = 1 / (zm - ctx.mpf(float(x)))
+            g += ctx.mpf(float(w)) * r
+            gp -= ctx.mpf(float(w)) * r * r
+        for k in range(len(t) - 1):
+            if v[k] == 0 and v[k + 1] == 0:
+                continue
+            h = t[k + 1] - t[k]
+            d = (v[k + 1] - v[k]) / h
+            L = ctx.log((zm - t[k]) / (zm - t[k + 1]))
+            p = v[k] + d * (zm - t[k])
+            g += p * L - d * h
+            gp += d * L + p * (1 / (zm - t[k]) - 1 / (zm - t[k + 1]))
+        G.append(complex(g))
+        Gp.append(complex(gp))
+    return np.array(G), np.array(Gp)
+
+
+def _kernel_inputs():
+    unif = np.linspace(-np.sqrt(3.0), np.sqrt(3.0), 401)
+    xs = np.linspace(-3.0, 3.0, 301)
+    bumps = np.maximum(0.0, 1.0 - (np.abs(xs) - 2.0) ** 2)   # zero on (-1, 1)
+    sc = semicircle_measure(101)
+    return {
+        "semicircle201": semicircle_measure(201),
+        "semicircle2001": semicircle_measure(2001),
+        "uniform401": from_density(unif, np.ones(unif.size), normalize=True),
+        "two_bumps": from_density(xs, bumps, normalize=True),
+        "atoms_and_density": from_density(sc.grid, sc.density,
+                                          atoms=[(-2.5, 0.2), (0.3, 0.1)],
+                                          normalize=True),
+    }
+
+
+def _kernel_points(m):
+    """Points on and near the support down to Im z = 1e-4 R, on both sides of
+    the far-field switch |z - c| = 2R, and at Im z = 200."""
+    lo, hi = m.grid[0], m.grid[-1]
+    c, R = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    xs = np.array([lo - 0.1 * R, lo, m.grid[1], c - 0.37 * R, c, hi, hi + 0.1 * R])
+    near = (xs[:, None] + 1j * R * np.array([1e-4, 1e-2])).ravel()
+    ring = np.concatenate([c + 2.0 * R * (1.0 + s) * np.exp(1j * np.array([0.3, 2.0]))
+                           for s in (-1e-3, 1e-3)])
+    return np.concatenate([near, ring, [c + 0.5 * R + 200j]])
+
+
+@pytest.fixture(scope="module", params=list(_kernel_inputs()))
+def kernel_case(request):
+    m = _kernel_inputs()[request.param]
+    zs = _kernel_points(m)
+    return m, zs, _mp_reference(m, zs)
+
+
+class TestDensityKernel:
+    def test_cauchy_matches_mpmath(self, kernel_case):
+        m, zs, (G, _) = kernel_case
+        # where G nearly cancels (inside a zero gap) the error is measured
+        # against the size of the integrand, int |dmu(t)| / |z - t|
+        scale = (np.sum(m.atom_weights / np.abs(zs[:, None] - m.atom_positions), axis=1)
+                 + np.trapezoid(m.density / np.abs(zs[:, None] - m.grid), m.grid, axis=1))
+        err = np.abs(measure_cauchy(m, zs) - G) / np.maximum(np.abs(G), scale)
+        assert err.max() < 1e-13
+
+    def test_derivative_matches_mpmath(self, kernel_case):
+        m, zs, (_, Gp) = kernel_case
+        err = np.abs(measure_cauchy_prime(m, zs) - Gp) / np.abs(Gp)
+        assert err.max() < 1e-13
+
+    def test_pointwise_independent_of_batch(self, kernel_case):
+        m, zs, _ = kernel_case
+        single = np.array([measure_cauchy(m, z) for z in zs])
+        assert np.array_equal(single, measure_cauchy(m, zs))
+        assert np.array_equal(measure_cauchy(m, zs.reshape(-1, 1))[:, 0],
+                              measure_cauchy(m, zs))
+
+
+def test_rates_csv_independent_of_thread_counts(tmp_path):
+    """The kernel's dot products must not depend on the BLAS thread count."""
+    m = semicircle_measure(101)
+    cfg = {"measure": m.to_json_dict(), "n_values": [2, 4, 8],
+           "grid": [-4.0, 4.0, 201]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    src = str(Path(freeconv.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        for blas in ("1", "2"):
+            env = dict(os.environ, FREECONV_THREADS=threads, OPENBLAS_NUM_THREADS=blas,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-m", "freeconv.cli", "rates",
+                                  str(tmp_path / "cfg.json")],
+                                 env=env, capture_output=True, text=True, check=True)
+            outputs.add(out.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().startswith("n,a_n,distance\n2,")
