@@ -11,8 +11,9 @@ from .subordination import (boundary_curve, inverse_Zn, pair_cauchy,
 from .inversion import (CdfTable, DistanceReport, kolmogorov, measure_to_cdf,
                         stieltjes_cdf, tail_smoothing_check)
 from .idlaws import (FamilySpec, family_cauchy, family_measure, free_poisson,
-                     is_free_id_sampled, meixner_cauchy, meixner_w, semicircle)
-from .bench import ExperimentConfig, RateReport, run_rate_experiment
+                     is_free_id_sampled, meixner_w, semicircle)
+from .bench import (ExperimentConfig, RateReport, pair_cdf, power_cdf,
+                    run_rate_experiment)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import idlaws
 from .errors import FreeconvError, NotNormalized
 from .inversion import kolmogorov, stieltjes_cdf
 from .measures import Measure
-from .subordination import solve_Zn_grid
+from .subordination import solve_pair_grid, solve_Zn_grid
 from .transforms import as_evaluator
 
 DEFAULT_GRID = (-4.0, 4.0, 2001)
@@ -84,7 +84,8 @@ def _worker_count() -> int:
     return cap
 
 
-def _power_cdf(source, n, xs, eta_schedule):
+def power_cdf(source, n: int, xs, eta_schedule=DEFAULT_ETA):
+    """CDF table on xs of the n-fold free convolution power of source."""
     G, _ = as_evaluator(source)
 
     def g(z):
@@ -96,9 +97,20 @@ def _power_cdf(source, n, xs, eta_schedule):
     return stieltjes_cdf(g, xs, eta_schedule)
 
 
+def pair_cdf(m1, m2, xs, eta_schedule=DEFAULT_ETA):
+    """CDF table on xs of the free additive convolution of m1 and m2."""
+    G1, _ = as_evaluator(m1)
+
+    def g(z):
+        Z1, _ = solve_pair_grid(m1, m2, z)
+        return G1(Z1)
+
+    return stieltjes_cdf(g, xs, eta_schedule)
+
+
 def _rate_row(cfg: ExperimentConfig, xs, m3, n):
     mu_n = cfg.measure.dilate(np.sqrt(n))
-    table = _power_cdf(mu_n, n, xs, cfg.eta_schedule)
+    table = power_cdf(mu_n, n, xs, cfg.eta_schedule)
     a_n = m3 / np.sqrt(n)
     if cfg.target == "meixner_auto":
         spec = idlaws.meixner_w(a_n)

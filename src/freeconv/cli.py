@@ -13,9 +13,7 @@ import numpy as np
 
 from . import bench, idlaws, measures, ncpart
 from .errors import FixedPointDiverged, FreeconvError, InversionDiverged
-from .inversion import kolmogorov, load_cdf_csv, stieltjes_cdf
-from .subordination import solve_Zn_grid, solve_pair_grid
-from .transforms import as_evaluator
+from .inversion import kolmogorov, load_cdf_csv
 
 NUMERICAL_ERRORS = (FixedPointDiverged, InversionDiverged)
 
@@ -39,7 +37,7 @@ def _parse_grid(text, default=None):
         raise _UsageError(f"bad grid spec {text!r}, expected lo:hi:points") from exc
 
 
-def _parse_eta(text, default=(0.04, 0.02, 0.01)):
+def _parse_eta(text, default=bench.DEFAULT_ETA):
     if text is None:
         return default
     try:
@@ -111,14 +109,7 @@ def _cmd_power(args) -> int:
     half = 3.0 * np.sqrt(args.n) + 1.0
     lo, hi, pts = _parse_grid(args.grid, default=(-half, half, 2001))
     eta = _parse_eta(args.eta)
-    xs = np.linspace(lo, hi, pts)
-    G, _ = as_evaluator(m)
-
-    def g(z):
-        Zn, _, _ = solve_Zn_grid(m, args.n, z)
-        return G(Zn)
-
-    stieltjes_cdf(g, xs, eta).save_csv(args.out)
+    bench.power_cdf(m, args.n, np.linspace(lo, hi, pts), eta).save_csv(args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -128,14 +119,7 @@ def _cmd_convolve(args) -> int:
     mb = measures.load(args.b)
     lo, hi, pts = _parse_grid(args.grid, default=(-8.0, 8.0, 2001))
     eta = _parse_eta(args.eta)
-    xs = np.linspace(lo, hi, pts)
-    Ga, _ = as_evaluator(ma)
-
-    def g(z):
-        Z1, _ = solve_pair_grid(ma, mb, z)
-        return Ga(Z1)
-
-    stieltjes_cdf(g, xs, eta).save_csv(args.out)
+    bench.pair_cdf(ma, mb, np.linspace(lo, hi, pts), eta).save_csv(args.out)
     print(f"wrote {args.out}")
     return 0
 

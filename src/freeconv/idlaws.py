@@ -140,14 +140,6 @@ def family_transform(spec: FamilySpec):
     return _meixner_pair(p["a"])
 
 
-def meixner_cauchy(a: float, z):
-    """Cauchy transform of w_a with the branch assertion applied."""
-    z = require_upper(z)
-    G, _ = _meixner_pair(a)
-    out = G(z)
-    return out if np.ndim(out) else complex(out)
-
-
 def family_cauchy(spec: FamilySpec, z):
     z = require_upper(z)
     G, _ = family_transform(spec)

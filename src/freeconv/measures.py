@@ -270,32 +270,6 @@ def load(path) -> Measure:
         return from_json_dict(json.load(fh))
 
 
-# -- functional aliases ----------------------------------------------------
-
-def moment(m: Measure, k: int) -> float:
-    return m.moment(k)
-
-
-def absolute_moment(m: Measure, d: float) -> float:
-    return m.absolute_moment(d)
-
-
-def truncate(m: Measure, N: float) -> Measure:
-    return m.truncate(N)
-
-
-def characteristic_function(m: Measure, t: float) -> complex:
-    return m.characteristic_function(t)
-
-
-def dilate(m: Measure, s: float) -> Measure:
-    return m.dilate(s)
-
-
-def tail_mass(m: Measure, N: float) -> float:
-    return m.tail_mass(N)
-
-
 def moment_vector(m: Measure, K: int) -> list[float]:
     """Moments m_1..m_K of a measure, with a Hankel positivity sanity check."""
     if K < 1 or K > MAX_MOMENT_ORDER:
@@ -311,19 +285,14 @@ def moment_vector(m: Measure, K: int) -> list[float]:
 
 
 def semicircle_measure(points: int = 2001, radius: float = 2.0,
-                       mean: float = 0.0, spacing: str = "cos") -> Measure:
+                       mean: float = 0.0) -> Measure:
     """Grid measure for the semicircle law of variance (radius/2)^2.
 
     Cosine node spacing clusters points at the square-root edges, where a
     uniform grid loses most of its trapezoid accuracy.
     """
-    if spacing == "cos":
-        theta = np.linspace(0.0, np.pi, points)
-        xs = -radius * np.cos(theta)
-    elif spacing == "uniform":
-        xs = np.linspace(-radius, radius, points)
-    else:
-        raise ValueError(f"unknown spacing {spacing!r}")
+    theta = np.linspace(0.0, np.pi, points)
+    xs = -radius * np.cos(theta)
     vals = 2.0 / (np.pi * radius**2) * np.sqrt(np.maximum(radius**2 - xs**2, 0.0))
     return from_density(xs + mean, vals, normalize=True)
 

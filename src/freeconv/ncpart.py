@@ -94,21 +94,37 @@ def _moments_via_enumeration(alpha):
     return moments
 
 
-def _powers_of_moment_series(m, K):
-    """coeffs[s][j] = [x^j] (1 + m_1 x + ... + m_K x^K)^s for s, j <= K."""
-    base = [1.0] + list(m)
-    coeffs = [[0.0] * (K + 1) for _ in range(K + 1)]
-    coeffs[0][0] = 1.0
-    for s in range(1, K + 1):
-        prev = coeffs[s - 1]
-        cur = coeffs[s]
-        for j in range(K + 1):
+def _triangular(seq, to_moments: bool) -> list[float]:
+    """The recursion m_n = alpha_n + sum_{s<n} alpha_s [x^(n-s)] M(x)^s.
+
+    seq holds the cumulants (to_moments) or the moments, and the other
+    sequence is solved for term by term.  M(x) = 1 + m_1 x + m_2 x^2 + ... is
+    the moment series, and column j of the power table
+    P[s][j] = [x^j] M(x)^s is filled once m_j is known, which makes the whole
+    map O(K^3).
+    """
+    K = len(seq)
+    out: list[float] = []
+    alpha, m = (seq, out) if to_moments else (out, seq)
+    sign = 1.0 if to_moments else -1.0
+    P = [[1.0] + [0.0] * (K - 1) for _ in range(K)]
+    base = [1.0]
+    for n in range(1, K + 1):
+        val = seq[n - 1]
+        for s in range(1, n):
+            val += sign * alpha[s - 1] * P[s][n - s]
+        out.append(val)
+        if n == K:
+            break
+        base.append(m[n - 1])
+        for s in range(1, K):
+            prev = P[s - 1]
             acc = 0.0
-            for i in range(min(j, K) + 1):
-                if base[i] != 0.0 and prev[j - i] != 0.0:
-                    acc += base[i] * prev[j - i]
-            cur[j] = acc
-    return coeffs
+            for i in range(n + 1):
+                if base[i] != 0.0 and prev[n - i] != 0.0:
+                    acc += base[i] * prev[n - i]
+            P[s][n] = acc
+    return out
 
 
 def cumulants_to_moments(alpha, method: str = "recursion") -> list[float]:
@@ -129,14 +145,7 @@ def cumulants_to_moments(alpha, method: str = "recursion") -> list[float]:
         raise ValueError(f"unknown method {method!r}")
     if K > RECURSION_MAX:
         raise OrderTooLarge(f"recursion path limited to K <= {RECURSION_MAX}")
-    m: list[float] = []
-    for n in range(1, K + 1):
-        coeffs = _powers_of_moment_series(m, n - 1)
-        val = alpha[n - 1]
-        for s in range(1, n):
-            val += alpha[s - 1] * coeffs[s][n - s]
-        m.append(val)
-    return m
+    return _triangular(alpha, to_moments=True)
 
 
 def moments_to_cumulants(m) -> list[float]:
@@ -147,11 +156,4 @@ def moments_to_cumulants(m) -> list[float]:
         raise ValueError("empty moment vector")
     if K > RECURSION_MAX:
         raise OrderTooLarge(f"limited to K <= {RECURSION_MAX}")
-    alpha: list[float] = []
-    for n in range(1, K + 1):
-        coeffs = _powers_of_moment_series(m[:n - 1], n - 1)
-        val = m[n - 1]
-        for s in range(1, n):
-            val -= alpha[s - 1] * coeffs[s][n - s]
-        alpha.append(val)
-    return alpha
+    return _triangular(m, to_moments=False)

@@ -32,9 +32,22 @@ def _residual(F, n, z, w):
     return np.abs(z - n * w + (n - 1) * F(w))
 
 
+def _aitken(x0, x1, x2, floor):
+    """Aitken extrapolation of three successive iterates.
+
+    Returns (candidate, ok): ok marks points where the candidate is finite and
+    lies strictly above the floor of the admissible half plane; elsewhere the
+    candidate is x2.  Callers accept it only where it lowers their residual.
+    """
+    d1 = x2 - x1
+    denom = d1 - (x1 - x0)
+    safe = np.abs(denom) > 1e-300
+    cand = np.where(safe, x2 - d1 * d1 / np.where(safe, denom, 1.0), x2)
+    return cand, safe & np.isfinite(cand) & (cand.imag > floor)
+
+
 def solve_Zn_grid(source, n: int, z, tol: float = 1e-12,
-                  max_iter: int = MAX_ITER, damping: float = 1.0,
-                  accelerate: bool = True):
+                  max_iter: int = MAX_ITER):
     """Vectorized subordination solve; returns (Zn, iterations, residual)."""
     z = require_upper(z)
     if n < 1:
@@ -48,8 +61,7 @@ def solve_Zn_grid(source, n: int, z, tol: float = 1e-12,
     w_prev = None
     floor = z.imag / n
     for it in range(1, max_iter + 1):
-        t = z / n + c * F(w)
-        w_new = w + damping * (t - w) if damping != 1.0 else t
+        w_new = z / n + c * F(w)
         if np.any(w_new.imag < floor - 1e-12):
             raise FixedPointDiverged("iterate left the guaranteed half plane",
                                      last_iterate=w_new)
@@ -63,13 +75,8 @@ def solve_Zn_grid(source, n: int, z, tol: float = 1e-12,
         if np.all(done):
             res = _residual(F, n, z, w_new)
             return w_new, it, res
-        if accelerate and w_prev is not None and it % 5 == 0:
-            d1 = w_new - w
-            d0 = w - w_prev
-            denom = d1 - d0
-            safe = np.abs(denom) > 1e-300
-            cand = np.where(safe, w_new - d1 * d1 / np.where(safe, denom, 1.0), w_new)
-            ok = safe & np.isfinite(cand) & (cand.imag > floor)
+        if w_prev is not None and it % 5 == 0:
+            cand, ok = _aitken(w_prev, w, w_new, floor)
             if np.any(ok):
                 r_cand = _residual(F, n, z, np.where(ok, cand, w_new))
                 r_cur = n * step
@@ -83,28 +90,26 @@ def solve_Zn_grid(source, n: int, z, tol: float = 1e-12,
 
 
 def solve_Zn(source, n: int, z: complex, tol: float = 1e-12,
-             max_iter: int = MAX_ITER, damping: float = 1.0,
-             accelerate: bool = True) -> SubordinationResult:
+             max_iter: int = MAX_ITER) -> SubordinationResult:
     """Solve z = n Z - (n-1) F(Z) for the unique Z with Im Z >= Im z."""
     zz = np.asarray(complex(z), dtype=complex)
-    Zn, its, res = solve_Zn_grid(source, n, zz, tol=tol, max_iter=max_iter,
-                                 damping=damping, accelerate=accelerate)
+    Zn, its, res = solve_Zn_grid(source, n, zz, tol=tol, max_iter=max_iter)
     return SubordinationResult(z=complex(z), Zn=complex(Zn),
                                iterations=its, residual=float(res))
 
 
-def power_cauchy(source, n: int, z, tol: float = 1e-12):
+def power_cauchy(source, n: int, z):
     """Cauchy transform of the n-fold free convolution power at z."""
     from .transforms import as_evaluator
 
     z_arr = require_upper(z)
-    Zn, _, _ = solve_Zn_grid(source, n, z_arr, tol=tol)
+    Zn, _, _ = solve_Zn_grid(source, n, z_arr)
     G, _ = as_evaluator(source)
     out = G(Zn)
     return out if np.ndim(z) else complex(out)
 
 
-def power_reciprocal(source, n: int, tol: float = 1e-12):
+def power_reciprocal(source, n: int):
     """(F, F') callables of the n-fold convolution power, via subordination.
 
     F_n = F o Z_n and F_n' = F'(Z_n) / (n - (n-1) F'(Z_n)) by implicit
@@ -113,11 +118,11 @@ def power_reciprocal(source, n: int, tol: float = 1e-12):
     F, Fp = reciprocal_pair(source)
 
     def Fn(z):
-        Zn, _, _ = solve_Zn_grid(source, n, np.asarray(z, dtype=complex), tol=tol)
+        Zn, _, _ = solve_Zn_grid(source, n, np.asarray(z, dtype=complex))
         return F(Zn)
 
     def Fnp(z):
-        Zn, _, _ = solve_Zn_grid(source, n, np.asarray(z, dtype=complex), tol=tol)
+        Zn, _, _ = solve_Zn_grid(source, n, np.asarray(z, dtype=complex))
         fp = Fp(Zn)
         return fp / (n - (n - 1) * fp)
 
@@ -146,7 +151,7 @@ def solve_pair_grid(m1, m2, z, tol: float = 1e-12, max_iter: int = MAX_ITER):
     F2, _ = reciprocal_pair(m2)
     Z1 = np.array(z, dtype=complex) + 1j
     Z2 = Z1.copy()
-    Z1_hist = []
+    hist = []          # the last three Z1 iterates
     for it in range(1, max_iter + 1):
         Z1_new = z - Z2 + F2(Z2)
         Z2 = z - Z1_new + F1(Z1_new)
@@ -155,14 +160,9 @@ def solve_pair_grid(m1, m2, z, tol: float = 1e-12, max_iter: int = MAX_ITER):
         scale = np.maximum(1.0, np.maximum(np.abs(Z1), np.abs(Z2)))
         if np.all(step <= tol * scale):
             return Z1, Z2
-        Z1_hist.append(Z1)
-        if len(Z1_hist) >= 3 and it % 5 == 0:
-            x0, x1, x2 = Z1_hist[-3], Z1_hist[-2], Z1_hist[-1]
-            d1 = x2 - x1
-            denom = d1 - (x1 - x0)
-            safe = np.abs(denom) > 1e-300
-            cand = np.where(safe, x2 - d1 * d1 / np.where(safe, denom, 1.0), x2)
-            ok = safe & np.isfinite(cand) & (cand.imag > 0)
+        hist = hist[-2:] + [Z1]
+        if len(hist) == 3 and it % 5 == 0:
+            cand, ok = _aitken(*hist, 0.0)
             if np.any(ok):
                 # accept where the defining residual improves
                 c1 = np.where(ok, cand, Z1)
@@ -174,7 +174,6 @@ def solve_pair_grid(m1, m2, z, tol: float = 1e-12, max_iter: int = MAX_ITER):
                 take = good & (r_new < r_old)
                 Z1 = np.where(take, c1, Z1)
                 Z2 = np.where(take, c2, Z2)
-                Z1_hist.clear()
     raise FixedPointDiverged(
         f"pair subordination did not reach tol={tol} in {max_iter} iterations",
         last_iterate=(Z1, Z2))
@@ -199,48 +198,51 @@ def pair_cauchy(m1, m2, z, tol: float = 1e-12):
     return out if np.ndim(z) else complex(out)
 
 
-def _poisson_integral(sigma: Measure, x: float, y: float) -> float:
-    """int sigma(du) / ((u-x)^2 + y^2)."""
-    total = 0.0
+BISECT_TOL = 1e-10
+
+
+def _poisson_integral(sigma: Measure, x, y):
+    """int sigma(du) / ((u-x)^2 + y^2) for equal-length arrays x and y."""
+    x, y = x[:, None], y[:, None]
+    total = np.zeros(x.shape[0])
     if sigma.atom_positions.size:
-        total += float(np.sum(sigma.atom_weights /
-                              ((sigma.atom_positions - x) ** 2 + y ** 2)))
+        total += np.sum(sigma.atom_weights / ((sigma.atom_positions - x) ** 2 + y ** 2),
+                        axis=1)
     if sigma.grid.size:
-        total += float(np.trapezoid(sigma.density / ((sigma.grid - x) ** 2 + y ** 2),
-                                    sigma.grid))
+        total += np.trapezoid(sigma.density / ((sigma.grid - x) ** 2 + y ** 2),
+                              sigma.grid, axis=1)
     return total
 
 
-def boundary_curve(m: Measure, n: int, x, sigma: Measure | None = None,
-                   bisect_tol: float = 1e-10):
+def boundary_curve(m: Measure, n: int, x):
     """y_n(x): positive root of (n-1) * int sigma(du)/((u-x)^2 + y^2) = 1.
 
     Returns 0 where no positive root exists.  The root is unique because the
     integral is strictly decreasing in y, and it is bounded by
-    sqrt(sigma(R) (n-1)).
+    sqrt(sigma(R) (n-1)).  All x are bisected together.
     """
     if n < 2:
         raise ValueError("boundary curve needs n >= 2")
-    if sigma is None:
-        if abs(m.moment(1)) > 1e-9:
-            raise NotCentered("boundary_curve requires a centered measure")
-        sigma = nevanlinna_sigma(m)
+    if abs(m.moment(1)) > 1e-9:
+        raise NotCentered("boundary_curve requires a centered measure")
+    sigma = nevanlinna_sigma(m)
     total = sigma.mass()
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     out = np.zeros(xs.shape)
     if total > 0:
-        y_max = float(np.sqrt(total * (n - 1)))
-        for i, xi in enumerate(xs.ravel()):
-            with np.errstate(divide="ignore"):
-                I0 = _poisson_integral(sigma, xi, 0.0)
-            if (n - 1) * I0 <= 1.0:
-                continue
-            lo, hi = 0.0, y_max
-            while hi - lo > bisect_tol:
-                mid = 0.5 * (lo + hi)
-                if (n - 1) * _poisson_integral(sigma, xi, mid) > 1.0:
-                    lo = mid
-                else:
-                    hi = mid
-            out.ravel()[i] = 0.5 * (lo + hi)
-    return out.reshape(np.shape(x)) if np.ndim(x) else float(out.ravel()[0])
+        with np.errstate(divide="ignore"):
+            I0 = _poisson_integral(sigma, xs, np.zeros(xs.shape))
+        roots = ~((n - 1) * I0 <= 1.0)     # a NaN integral is bisected too
+        xr = xs[roots]
+        lo = np.zeros(xr.shape)
+        hi = np.full(xr.shape, float(np.sqrt(total * (n - 1))))
+        while True:
+            open_ = hi - lo > BISECT_TOL
+            if not np.any(open_):
+                break
+            mid = 0.5 * (lo + hi)
+            above = (n - 1) * _poisson_integral(sigma, xr, mid) > 1.0
+            lo = np.where(open_ & above, mid, lo)
+            hi = np.where(open_ & ~above, mid, hi)
+        out[roots] = 0.5 * (lo + hi)
+    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])

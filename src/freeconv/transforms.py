@@ -340,8 +340,7 @@ def voiculescu(source, z: complex) -> complex:
     return phi
 
 
-def nevanlinna_sigma(m: Measure, grid_points: int = 2001,
-                     eta_schedule=(0.04, 0.02, 0.01)) -> Measure:
+def nevanlinna_sigma(m: Measure) -> Measure:
     """Representing measure sigma of F(z) = z + int sigma(du)/(u-z).
 
     Total mass equals the variance m_2 (the input must be centered).  For
@@ -357,8 +356,8 @@ def nevanlinna_sigma(m: Measure, grid_points: int = 2001,
     if m.atom_positions.size:
         lo = min(lo, float(m.atom_positions.min()))
         hi = max(hi, float(m.atom_positions.max()))
-    xs = np.linspace(lo - 1.0, hi + 1.0, grid_points)
-    eta1, eta2 = eta_schedule[-2], eta_schedule[-1]
+    xs = np.linspace(lo - 1.0, hi + 1.0, 2001)
+    eta1, eta2 = 0.02, 0.01
     F, _ = reciprocal_pair(m)
 
     def dens_at(eta):

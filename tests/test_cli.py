@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from freeconv import bench
 from freeconv.cli import main
 from freeconv.errors import FixedPointDiverged
-from freeconv.measures import bernoulli_measure, semicircle_measure
+from freeconv.measures import bernoulli_measure, make_atomic, semicircle_measure
 
 
 @pytest.fixture
@@ -82,7 +83,7 @@ class TestPowerAndDistance:
         def boom(*args, **kwargs):
             raise FixedPointDiverged("forced")
 
-        monkeypatch.setattr("freeconv.cli.solve_Zn_grid", boom)
+        monkeypatch.setattr("freeconv.bench.solve_Zn_grid", boom)
         assert main(["power", bernoulli_file, "--n", "2",
                      "--grid=-2:2:101", "--out",
                      str(tmp_path / "x.csv")]) == 2
@@ -103,6 +104,43 @@ class TestConvolve:
         # dirac convolution shifts: all mass lands at 0.5 - 0.5 = 0
         assert t.value_at(0.2) - t.value_at(-0.2) == pytest.approx(1.0,
                                                                    abs=1e-2)
+
+    def test_numerical_failure_exit_code(self, bernoulli_file, tmp_path,
+                                         monkeypatch):
+        def boom(*args, **kwargs):
+            raise FixedPointDiverged("forced")
+
+        monkeypatch.setattr("freeconv.bench.solve_pair_grid", boom)
+        assert main(["convolve", bernoulli_file, bernoulli_file,
+                     "--grid=-2:2:101", "--out",
+                     str(tmp_path / "x.csv")]) == 2
+
+
+class TestSamePipelineAsBench:
+    """`power` and `convolve` write the tables of bench.power_cdf/pair_cdf."""
+
+    def test_power(self, tmp_path):
+        m = semicircle_measure(101)
+        path = tmp_path / "m.json"
+        m.dump(path)
+        cli_out, api_out = tmp_path / "cli.csv", tmp_path / "api.csv"
+        assert main(["power", str(path), "--n", "4", "--grid=-5:5:301",
+                     "--eta", "0.04,0.02", "--out", str(cli_out)]) == 0
+        bench.power_cdf(m, 4, np.linspace(-5, 5, 301),
+                        (0.04, 0.02)).save_csv(api_out)
+        assert cli_out.read_bytes() == api_out.read_bytes()
+
+    def test_convolve(self, tmp_path):
+        m1 = make_atomic([(0.0, 0.7), (1.0, 0.3)])
+        m2 = make_atomic([(0.0, 0.6), (2.0, 0.4)])
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for m, path in zip((m1, m2), paths):
+            m.dump(path)
+        cli_out, api_out = tmp_path / "cli.csv", tmp_path / "api.csv"
+        assert main(["convolve", *map(str, paths), "--grid=-2:5:351",
+                     "--out", str(cli_out)]) == 0
+        bench.pair_cdf(m1, m2, np.linspace(-2, 5, 351)).save_csv(api_out)
+        assert cli_out.read_bytes() == api_out.read_bytes()
 
 
 class TestIdcheck:

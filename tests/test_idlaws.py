@@ -5,7 +5,7 @@ from freeconv import idlaws
 from freeconv.errors import NotUpperHalfPlane, OutOfRange
 from freeconv.idlaws import (FamilySpec, family_cauchy, family_measure,
                              family_transform, free_poisson,
-                             is_free_id_sampled, meixner_cauchy, meixner_w,
+                             is_free_id_sampled, meixner_w,
                              semicircle)
 from freeconv.inversion import stieltjes_cdf
 from freeconv.measures import bernoulli_measure
@@ -31,19 +31,19 @@ class TestFamilySpec:
 
 class TestMeixnerCauchy:
     def test_a0_is_semicircle(self):
-        got = meixner_cauchy(0.0, 1j)
+        got = family_cauchy(meixner_w(0.0), 1j)
         assert got == pytest.approx(1j * (1 - np.sqrt(5)) / 2, abs=1e-12)
 
     def test_normalization_asymptotics(self):
         for a in (0.0, 1.0, -2.0):
-            g = meixner_cauchy(a, 100j)
+            g = family_cauchy(meixner_w(a), 100j)
             assert abs(100j * g - 1) < 0.05
 
     def test_defining_algebraic_identity(self):
         # 2 (1/V - a) - (z - a) must be a square root of (z-a)^2 - 4, and
         # the branch must satisfy Im(1/V) >= Im z
         a, z = 1.0, 2j
-        V = meixner_cauchy(a, z)
+        V = family_cauchy(meixner_w(a), z)
         s = 2 * (1 / V - a) - (z - a)
         assert abs(s * s - ((z - a) ** 2 - 4)) < 1e-12
         assert (1 / V).imag >= z.imag - 1e-12
@@ -52,14 +52,14 @@ class TestMeixnerCauchy:
         zs = (np.linspace(-3, 3, 10)[:, None]
               + 1j * np.linspace(0.1, 5, 10))
         for a in (0.0, 1.5, -1.0):
-            g = meixner_cauchy(a, zs)
+            g = family_cauchy(meixner_w(a), zs)
             f = 1.0 / g
             assert np.all(f.imag >= zs.imag - 1e-10)
             assert np.all(g.imag < 0)
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(NotUpperHalfPlane):
-            meixner_cauchy(0.0, -1j)
+            family_cauchy(meixner_w(0.0), -1j)
 
 
 class TestFamilyCauchy:
@@ -82,7 +82,7 @@ class TestFamilyCauchy:
     def test_meixner_zero_equals_semicircle_on_grid(self):
         zs = (np.linspace(-3, 3, 10)[:, None]
               + 1j * np.linspace(0.1, 5, 10))
-        a = meixner_cauchy(0.0, zs)
+        a = family_cauchy(meixner_w(0.0), zs)
         b = family_cauchy(semicircle(), zs)
         assert np.max(np.abs(a - b)) < 1e-12
 

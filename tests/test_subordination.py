@@ -44,22 +44,9 @@ class TestSolveZn:
                 assert r.Zn.imag >= z.imag - 1e-10
                 assert r.residual < 1e-10 * max(1, abs(r.Zn))
 
-    def test_damped_matches_undamped(self):
-        m = bernoulli_measure()
-        xs = np.linspace(-2, 2, 5)
-        ys = np.geomspace(0.1, 5, 5)
-        for n in (2, 10, 100):
-            for x in xs:
-                for y in ys:
-                    z = complex(x, y)
-                    a = solve_Zn(m, n, z, damping=1.0).Zn
-                    b = solve_Zn(m, n, z, damping=0.5).Zn
-                    assert abs(a - b) < 1e-9
-
     def test_divergence_reports_last_iterate(self):
         with pytest.raises(FixedPointDiverged) as exc:
-            solve_Zn(bernoulli_measure(), 50, 1j, tol=1e-12, max_iter=3,
-                     accelerate=False)
+            solve_Zn(bernoulli_measure(), 50, 1j, tol=1e-12, max_iter=3)
         assert exc.value.last_iterate is not None
 
     def test_rejects_lower_half_plane(self):
@@ -141,6 +128,13 @@ class TestSolvePair:
         assert abs(z - (Z1 + Z2 - F1)) < 1e-9
         assert abs(F1 - F2) < 1e-9
         assert Z1.imag >= z.imag - 1e-10 and Z2.imag >= z.imag - 1e-10
+
+    def test_divergence_reports_last_iterate(self):
+        with pytest.raises(FixedPointDiverged) as exc:
+            solve_pair(bernoulli_measure(), bernoulli_measure(), 1j, max_iter=1)
+        Z1, Z2 = exc.value.last_iterate
+        assert np.ndim(Z1) == 0 and np.ndim(Z2) == 0
+        assert Z1.imag > 1.0 and Z2.imag > 1.0
 
     def test_pair_cauchy_bernoulli_square(self):
         got = pair_cauchy(bernoulli_measure(), bernoulli_measure(), 1j)
