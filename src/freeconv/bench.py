@@ -89,8 +89,7 @@ def power_cdf(source, n: int, xs, eta_schedule=DEFAULT_ETA):
     G, _ = as_evaluator(source)
 
     def g(z):
-        # 1e-9 is far below the distances being measured; the default 1e-12
-        # needs steps at the rounding floor once n is large
+        # 1e-9 is far below the distances being measured
         Zn, _, _ = solve_Zn_grid(source, n, z, tol=1e-9)
         return G(Zn)
 

@@ -1,10 +1,13 @@
 """Subordination solvers for n-fold and pairwise free additive convolution.
 
-The n-fold equation z = n Z - (n-1) F(Z) is solved by the self-map iteration
-w <- z/n + (1 - 1/n) F(w), which keeps iterates in the upper half plane.  The
-plain iteration converges only linearly (rate roughly 1 - 2/n), so an Aitken
-extrapolation step is interleaved and accepted only when it reduces the
-residual of the defining equation.
+The n-fold equation H(w) = n w - (n-1) F(w) - z = 0 is solved by Newton's
+method, guarded by the self-map w <- z/n + (1 - 1/n) F(w), which keeps
+iterates in the upper half plane but converges only linearly (rate roughly
+1 - 2/n).  A point takes the self-map step wherever its Newton update is not
+finite, falls below Im z / n, or its residual did not fall.  The self-map is
+a holomorphic self-map of the half plane and not an automorphism, so it has
+at most one fixed point there, and any root Newton finds is the right one.
+Converged points leave the active set and are not evaluated again.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import numpy as np
 
 from .errors import FixedPointDiverged, NotCentered
 from .measures import Measure
-from .transforms import (nevanlinna_sigma, reciprocal_pair, require_upper)
+from .transforms import (as_evaluator, nevanlinna_sigma, reciprocal_pair,
+                         require_upper)
 
 MAX_ITER = 10_000
 
@@ -32,18 +36,39 @@ def _residual(F, n, z, w):
     return np.abs(z - n * w + (n - 1) * F(w))
 
 
-def _aitken(x0, x1, x2, floor):
-    """Aitken extrapolation of three successive iterates.
+def _guarded_newton(step, z, w, floor, tol, max_iter, what):
+    """Active-set guarded Newton loop shared by both solvers.
 
-    Returns (candidate, ok): ok marks points where the candidate is finite and
-    lies strictly above the floor of the admissible half plane; elsewhere the
-    candidate is x2.  Callers accept it only where it lowers their residual.
+    step(w, z) evaluates the active points once and returns (fixed, newton,
+    r, done): the self-map image, the Newton update, the residual and the
+    stopping mask.  A point moves to its Newton update where that is finite,
+    lies above its floor and its residual fell since the previous iteration,
+    and to the self-map image otherwise.  A converged point is stored, with
+    its last update, and never evaluated again, so each point's trajectory
+    depends on that point alone.  Returns (iterate of z's shape, iterations).
     """
-    d1 = x2 - x1
-    denom = d1 - (x1 - x0)
-    safe = np.abs(denom) > 1e-300
-    cand = np.where(safe, x2 - d1 * d1 / np.where(safe, denom, 1.0), x2)
-    return cand, safe & np.isfinite(cand) & (cand.imag > floor)
+    shape = z.shape
+    z, w, floor = z.ravel(), w.ravel(), floor.ravel()
+    out = w.copy()
+    idx = np.arange(z.size)
+    r_prev = np.full(z.size, np.inf)
+    for it in range(1, max_iter + 1):
+        fixed, newton, r, done = step(w, z[idx])
+        if np.any(fixed.imag < floor[idx] - 1e-12):
+            out[idx] = fixed
+            raise FixedPointDiverged("iterate left the guaranteed half plane",
+                                     last_iterate=out.reshape(shape))
+        ok = np.isfinite(newton) & (newton.imag > floor[idx])
+        out[idx[done]] = np.where(ok, newton, fixed)[done]
+        keep = ~done
+        if not np.any(keep):
+            return out.reshape(shape), it
+        w = np.where(ok & (r < r_prev), newton, fixed)[keep]
+        idx, r_prev = idx[keep], r[keep]
+    out[idx] = w
+    raise FixedPointDiverged(
+        f"{what} did not reach tol={tol} in {max_iter} iterations",
+        last_iterate=out.reshape(shape))
 
 
 def solve_Zn_grid(source, n: int, z, tol: float = 1e-12,
@@ -55,38 +80,28 @@ def solve_Zn_grid(source, n: int, z, tol: float = 1e-12,
     if n == 1:
         zz = np.array(z, dtype=complex)
         return zz, 0, np.zeros(zz.shape)
-    F, _ = reciprocal_pair(source)
+    G, Gp = as_evaluator(source)
     c = (n - 1.0) / n
-    w = np.array(z, dtype=complex) + 1j
-    w_prev = None
-    floor = z.imag / n
-    for it in range(1, max_iter + 1):
-        w_new = z / n + c * F(w)
-        if np.any(w_new.imag < floor - 1e-12):
-            raise FixedPointDiverged("iterate left the guaranteed half plane",
-                                     last_iterate=w_new)
-        step = np.abs(w_new - w)
-        scale = np.maximum(1.0, np.abs(w_new))
+    eps = np.finfo(float).eps
+
+    def step(w, z):
+        g = G(w)
+        f, fp = 1.0 / g, -Gp(w) / (g * g)
+        fixed = z / n + c * f
+        d = fixed - w                     # n * d = -H(w)
+        size = np.abs(d)
+        scale = np.maximum(1.0, np.abs(fixed))
         # the error of a contraction with rate 1-2/n is about step * n/2, so
         # the step criterion carries a factor n; steps at the rounding floor
         # mean the iterate sits in the attainable noise ball, which is as
         # close as finite precision ever gets
-        done = (n * step <= 0.5 * tol * scale) | (step <= 8 * np.finfo(float).eps * scale)
-        if np.all(done):
-            res = _residual(F, n, z, w_new)
-            return w_new, it, res
-        if w_prev is not None and it % 5 == 0:
-            cand, ok = _aitken(w_prev, w, w_new, floor)
-            if np.any(ok):
-                r_cand = _residual(F, n, z, np.where(ok, cand, w_new))
-                r_cur = n * step
-                take = ok & (r_cand < r_cur)
-                w_new = np.where(take, cand, w_new)
-        w_prev = w
-        w = w_new
-    raise FixedPointDiverged(
-        f"subordination fixed point did not reach tol={tol} in {max_iter} iterations",
-        last_iterate=w)
+        done = (n * size <= 0.5 * tol * scale) | (size <= 8 * eps * scale)
+        return fixed, w + n * d / (n - (n - 1) * fp), n * size, done
+
+    Zn, it = _guarded_newton(step, z, z + 1j, z.imag / n, tol, max_iter,
+                             "subordination fixed point")
+    F, _ = reciprocal_pair(source)
+    return Zn, it, _residual(F, n, z, Zn)
 
 
 def solve_Zn(source, n: int, z: complex, tol: float = 1e-12,
@@ -100,8 +115,6 @@ def solve_Zn(source, n: int, z: complex, tol: float = 1e-12,
 
 def power_cauchy(source, n: int, z):
     """Cauchy transform of the n-fold free convolution power at z."""
-    from .transforms import as_evaluator
-
     z_arr = require_upper(z)
     Zn, _, _ = solve_Zn_grid(source, n, z_arr)
     G, _ = as_evaluator(source)
@@ -141,42 +154,36 @@ def solve_pair_grid(m1, m2, z, tol: float = 1e-12, max_iter: int = MAX_ITER):
     """Vectorized two-function subordination:
     z = Z1 + Z2 - F1(Z1) and F1(Z1) = F2(Z2).
 
-    Alternating updates Z1 <- z - Z2 + F2(Z2), Z2 <- z - Z1 + F1(Z1) keep both
-    iterates in the upper half plane.  After each sweep the first defining
-    relation holds exactly, so the Z1 step size equals the residual of the
-    second and serves as the convergence criterion.
+    Z1 is the unknown and Z2 = z - Z1 + F1(Z1), so the first relation holds
+    exactly and Im Z2 >= Im z, because Im F1(w) >= Im w.  Newton's method in
+    Z1 solves F1(Z1) - F2(Z2) = 0, with the sweep Z1 <- z - Z2 + F2(Z2) as
+    the guarded fallback step; |F2(Z2) - F1(Z1)|, the residual of the second
+    relation, is the convergence criterion.
     """
     z = require_upper(z)
-    F1, _ = reciprocal_pair(m1)
-    F2, _ = reciprocal_pair(m2)
-    Z1 = np.array(z, dtype=complex) + 1j
-    Z2 = Z1.copy()
-    hist = []          # the last three Z1 iterates
-    for it in range(1, max_iter + 1):
-        Z1_new = z - Z2 + F2(Z2)
-        Z2 = z - Z1_new + F1(Z1_new)
-        step = np.abs(Z1_new - Z1)
-        Z1 = Z1_new
+    G1, G1p = as_evaluator(m1)
+    G2, G2p = as_evaluator(m2)
+
+    def step(Z1, z):
+        g1 = G1(Z1)
+        f1, f1p = 1.0 / g1, -G1p(Z1) / (g1 * g1)
+        Z2 = z - Z1 + f1
+        g2 = G2(Z2)
+        f2, f2p = 1.0 / g2, -G2p(Z2) / (g2 * g2)
+        phi = f1 - f2
+        r = np.abs(phi)
         scale = np.maximum(1.0, np.maximum(np.abs(Z1), np.abs(Z2)))
-        if np.all(step <= tol * scale):
-            return Z1, Z2
-        hist = hist[-2:] + [Z1]
-        if len(hist) == 3 and it % 5 == 0:
-            cand, ok = _aitken(*hist, 0.0)
-            if np.any(ok):
-                # accept where the defining residual improves
-                c1 = np.where(ok, cand, Z1)
-                f1c = F1(c1)
-                c2 = z - c1 + f1c
-                good = ok & (c2.imag > 0)
-                r_new = np.abs(f1c - F2(np.where(good, c2, Z2)))
-                r_old = step
-                take = good & (r_new < r_old)
-                Z1 = np.where(take, c1, Z1)
-                Z2 = np.where(take, c2, Z2)
-    raise FixedPointDiverged(
-        f"pair subordination did not reach tol={tol} in {max_iter} iterations",
-        last_iterate=(Z1, Z2))
+        return (z - Z2 + f2, Z1 - phi / (f1p - f2p * (f1p - 1.0)), r,
+                r <= tol * scale)
+
+    try:
+        Z1, _ = _guarded_newton(step, z, z + 1j, np.zeros(z.shape), tol,
+                                max_iter, "pair subordination")
+    except FixedPointDiverged as exc:
+        Z1 = exc.last_iterate
+        exc.last_iterate = (Z1, z - Z1 + 1.0 / G1(Z1))
+        raise
+    return Z1, z - Z1 + 1.0 / G1(Z1)
 
 
 def solve_pair(m1, m2, z: complex, tol: float = 1e-12,
@@ -189,8 +196,6 @@ def solve_pair(m1, m2, z: complex, tol: float = 1e-12,
 
 def pair_cauchy(m1, m2, z, tol: float = 1e-12):
     """Cauchy transform of m1 boxplus m2 at z (scalar or array)."""
-    from .transforms import as_evaluator
-
     G1, _ = as_evaluator(m1)
     z_arr = np.asarray(z, dtype=complex)
     Z1, _ = solve_pair_grid(m1, m2, z_arr, tol=tol)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from freeconv import idlaws
+from freeconv import idlaws, transforms
 from freeconv.errors import FixedPointDiverged, NotCentered, NotUpperHalfPlane
 from freeconv.measures import bernoulli_measure, make_atomic, semicircle_measure
 from freeconv.subordination import (boundary_curve, inverse_Zn, pair_cauchy,
-                                    power_cauchy, solve_pair, solve_Zn,
-                                    solve_Zn_grid)
+                                    power_cauchy, solve_pair, solve_pair_grid,
+                                    solve_Zn, solve_Zn_grid)
 from freeconv.transforms import cauchy
 
 SEMI = idlaws.semicircle()
@@ -56,6 +56,70 @@ class TestSolveZn:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             solve_Zn_grid(bernoulli_measure(), 0, np.array(1j))
+
+
+def _nan_prime(monkeypatch):
+    # every Newton update becomes NaN, so each step is the guarded fallback
+    monkeypatch.setattr(transforms, "measure_cauchy_prime",
+                        lambda m, z: np.full(np.shape(z), np.nan + 0j))
+
+
+class TestNewton:
+    Z = np.linspace(-4, 4, 201) + 0.01j
+
+    @pytest.mark.parametrize("m, n", [(bernoulli_measure().dilate(64), 4096),
+                                      (semicircle_measure(101).dilate(2), 4)],
+                             ids=["bernoulli4096", "semicircle4"])
+    def test_Zn_independent_of_batch(self, m, n):
+        Zn, _, _ = solve_Zn_grid(m, n, self.Z, tol=1e-9)
+        for i in range(0, self.Z.size, 10):
+            alone, _, _ = solve_Zn_grid(m, n, self.Z[i:i + 1], tol=1e-9)
+            assert alone[0] == Zn[i]
+
+    def test_pair_independent_of_batch(self):
+        m1, m2 = semicircle_measure(201), make_atomic([(-0.5, 0.8), (2.0, 0.2)])
+        Z1, Z2 = solve_pair_grid(m1, m2, self.Z)
+        for i in range(0, self.Z.size, 10):
+            a1, a2 = solve_pair_grid(m1, m2, self.Z[i:i + 1])
+            assert a1[0] == Z1[i] and a2[0] == Z2[i]
+
+    def test_large_n_converges_fast(self):
+        # the self-map contracts at rate about 1 - 2/n: ~700 steps here
+        m, n = bernoulli_measure().dilate(64), 4096
+        z = np.linspace(-4, 4, 2001) + 0.01j
+        _, its, res = solve_Zn_grid(m, n, z, tol=1e-9)
+        assert its <= 12
+        assert np.max(res) <= 1e-10
+
+    def test_Zn_fallback_without_derivative(self, monkeypatch):
+        m = bernoulli_measure()
+        zs = (0.3 + 0.2j, -2 + 1j, 5j)
+        want = [solve_Zn(m, 8, z).Zn for z in zs]
+        _nan_prime(monkeypatch)
+        for z, w in zip(zs, want):
+            assert solve_Zn(m, 8, z).Zn == pytest.approx(w, abs=1e-10)
+
+    def test_pair_fallback_without_derivative(self, monkeypatch):
+        m1 = bernoulli_measure()
+        m2 = make_atomic([(-0.5, 0.25), (0.0, 0.5), (1.0, 0.25)])
+        zs = (0.3 + 0.8j, 1j, -1 + 0.1j)
+        want = [solve_pair(m1, m2, z) for z in zs]
+        _nan_prime(monkeypatch)
+        for z, (w1, w2) in zip(zs, want):
+            Z1, Z2 = solve_pair(m1, m2, z)
+            assert Z1 == pytest.approx(w1, abs=1e-10)
+            assert Z2 == pytest.approx(w2, abs=1e-10)
+
+    def test_divergence_reports_full_shape(self):
+        m = bernoulli_measure()
+        z = (np.linspace(-3, 3, 12) + 0.01j).reshape(3, 4)
+        with pytest.raises(FixedPointDiverged) as exc:
+            solve_Zn_grid(m, 4096, z, max_iter=2)
+        assert exc.value.last_iterate.shape == z.shape
+        with pytest.raises(FixedPointDiverged) as exc:
+            solve_pair_grid(m, m, z, max_iter=2)
+        Z1, Z2 = exc.value.last_iterate
+        assert Z1.shape == z.shape and Z2.shape == z.shape
 
 
 class TestMassIdentity:
