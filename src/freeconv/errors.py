@@ -42,9 +42,13 @@ class NotNormalized(FreeconvError):
 
 
 class InversionDiverged(FreeconvError):
-    def __init__(self, message, last_iterate=None):
+    """last_iterate has the input's shape; failed, for an array input, is a
+    boolean mask of the points that did not converge."""
+
+    def __init__(self, message, last_iterate=None, failed=None):
         super().__init__(message)
         self.last_iterate = last_iterate
+        self.failed = failed
 
 
 class FixedPointDiverged(FreeconvError):

@@ -213,6 +213,12 @@ def is_free_id_sampled(source, depth_grid=None, width: float = 2.0,
     deviations from smooth continuation mean phi is not single-valued along
     the line (a branch point inside the strip), positive Im phi means the
     continuation exists but leaves the Nevanlinna-negative class.
+
+    The x_samples paths Re z = x in [-width, width] are continued in lockstep,
+    one Newton solve over all live paths per depth.  The verdict is that of
+    the lowest-index failing path at its first failing depth, as if the paths
+    were continued one after the other: when path p fails, the paths after it
+    are dropped and those before it continue down the grid.
     """
     if depth_grid is None:
         depth_grid = DEFAULT_DEPTH_GRID
@@ -221,6 +227,10 @@ def is_free_id_sampled(source, depth_grid=None, width: float = 2.0,
         raise ValueError("depth grid must be strictly decreasing")
     if depth[-1] < 0.05:
         raise ValueError("depth grid must stay at Im z >= 0.05")
+    if x_samples < 1:
+        raise ValueError("x_samples must be at least 1")
+    if not (np.isfinite(width) and width >= 0):
+        raise ValueError("width must be finite and non-negative")
     F, Fp = reciprocal_pair(source)
     y_top = depth[0]
     try:
@@ -229,30 +239,38 @@ def is_free_id_sampled(source, depth_grid=None, width: float = 2.0,
         return IdVerdict("continuation_broken", 1j * y_top, "no inverse at the top")
     if abs(w_top - 1j * y_top) / y_top >= 0.01:
         return IdVerdict("fails_at", 1j * y_top, "phi grows linearly at the top")
-    for x in np.linspace(-width, width, x_samples):
-        phis = []
-        ys = []
-        for y in depth:
-            z = complex(x, y)
-            seed = z + phis[-1] if phis else z
-            try:
-                w = newton_invert(F, Fp, z, seed)
-            except InversionDiverged:
-                return IdVerdict("continuation_broken", z, "Newton diverged")
-            phi = w - z
-            if phis:
-                if abs(phi - phis[-1]) > 0.5:
-                    return IdVerdict("continuation_broken", z,
-                                     "inter-step jump exceeded 0.5")
-                if len(phis) >= 2:
-                    slope = (phis[-1] - phis[-2]) / (ys[-1] - ys[-2])
-                    pred = phis[-1] + slope * (y - ys[-1])
-                    if abs(phi - pred) > 0.05 * max(1.0, abs(phis[-1])):
-                        return IdVerdict("continuation_broken", z,
-                                         "continuation left the smooth branch")
-            if phi.imag > 1e-6:
-                return IdVerdict("fails_at", z,
-                                 f"Im phi = {phi.imag:.3g} > 0")
-            phis.append(phi)
-            ys.append(y)
-    return IdVerdict("passes")
+    x = np.linspace(-width, width, x_samples)
+    verdict = IdVerdict("passes")
+    phis = []                 # phi of the live paths at the last two depths
+    for j, y in enumerate(depth):
+        z = x + 1j * y
+        seed = z + phis[-1] if phis else z
+        try:
+            w = newton_invert(F, Fp, z, seed)
+            diverged = np.zeros(x.size, dtype=bool)
+        except InversionDiverged as exc:
+            w, diverged = exc.last_iterate, exc.failed
+        phi = w - z
+        # (failing paths, kind, detail) in the order each path is checked
+        checks = [(diverged, "continuation_broken", "Newton diverged")]
+        if phis:
+            checks.append((np.abs(phi - phis[-1]) > 0.5, "continuation_broken",
+                           "inter-step jump exceeded 0.5"))
+        if len(phis) == 2:
+            slope = (phis[-1] - phis[-2]) / (depth[j - 1] - depth[j - 2])
+            pred = phis[-1] + slope * (y - depth[j - 1])
+            off = np.abs(phi - pred) > 0.05 * np.maximum(1.0, np.abs(phis[-1]))
+            checks.append((off, "continuation_broken",
+                           "continuation left the smooth branch"))
+        checks.append((phi.imag > 1e-6, "fails_at", None))
+        bad = np.flatnonzero(np.any([c[0] for c in checks], axis=0))
+        if bad.size:
+            k = bad[0]
+            _, kind, detail = next(c for c in checks if c[0][k])
+            verdict = IdVerdict(kind, complex(z[k]),
+                                detail or f"Im phi = {phi[k].imag:.3g} > 0")
+            if not k:
+                break
+            x, phi = x[:k], phi[:k]
+        phis = [p[:x.size] for p in phis[-1:]] + [phi]
+    return verdict

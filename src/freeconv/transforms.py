@@ -285,39 +285,69 @@ def c1_index(source) -> float:
     return float(np.imag(f)) - 1.0
 
 
-def newton_invert(F, Fp, target: complex, seed: complex,
-                  tol: float = 1e-10, max_iter: int = 200) -> complex:
+def newton_invert(F, Fp, target, seed, tol: float = 1e-10, max_iter: int = 200):
     """Solve F(w) = target for w in the upper half plane by damped Newton.
 
-    Divergence is reported, never silently replaced by a fallback value.
+    target and seed are complex scalars or arrays of one broadcast shape; F and
+    Fp are called on 1-d arrays.  Each point runs its own damped Newton: the
+    step is halved (up to 60 times) until it stays in the upper half plane and
+    lowers |F(w) - target|.  A point leaves the batch when it converges or
+    fails, so its iterates do not depend on the other points.  A scalar call
+    returns a complex, an array call an array of the broadcast shape.
+
+    Divergence is reported, never silently replaced by a fallback value: once
+    every point has finished, InversionDiverged is raised with last_iterate of
+    the broadcast shape (converged points hold their solution) and, for an
+    array call, a boolean mask ``failed`` of the points that did not converge.
     """
-    w = complex(seed)
-    if w.imag <= 0:
-        w = complex(w.real, 1e-3)
-    scale = max(1.0, abs(target))
-    r = F(w) - target
+    t, w = np.broadcast_arrays(np.asarray(target, dtype=complex),
+                               np.asarray(seed, dtype=complex))
+    shape = t.shape
+    t, w = t.ravel(), w.ravel()
+    w = np.where(w.imag <= 0, w.real + 1e-3j, w)
+    lim = tol * np.maximum(1.0, np.abs(t))
+    r = F(w) - t
+    errors = {}                 # index of a failed point -> reason
+    act = np.arange(t.size)
     for _ in range(max_iter):
-        if abs(r) < tol * scale:
-            return w
-        dF = Fp(w)
-        if dF == 0:
-            raise InversionDiverged("Newton derivative vanished", last_iterate=w)
-        step = r / dF
-        lam = 1.0
+        act = act[~(np.abs(r[act]) < lim[act])]
+        if not act.size:
+            break
+        dF = np.broadcast_to(Fp(w[act]), act.shape)
+        zero = dF == 0
+        errors.update(dict.fromkeys(act[zero].tolist(), "Newton derivative vanished"))
+        act, dF = act[~zero], dF[~zero]
+        # line search over the points whose step is not yet accepted
+        todo, step, lam = act, r[act] / dF, 1.0
         for _ in range(60):
-            w_new = w - lam * step
-            if w_new.imag > 0:
-                r_new = F(w_new) - target
-                if abs(r_new) < abs(r):
-                    break
+            if not todo.size:
+                break
+            w_new = w[todo] - lam * step
+            up = np.flatnonzero(w_new.imag > 0)
+            if up.size:
+                r_new = F(w_new[up]) - t[todo[up]]
+                ok = np.abs(r_new) < np.abs(r[todo[up]])
+                done = up[ok]
+                w[todo[done]], r[todo[done]] = w_new[done], r_new[ok]
+                keep = np.ones(todo.size, dtype=bool)
+                keep[done] = False
+                todo, step = todo[keep], step[keep]
             lam *= 0.5
-        else:
-            raise InversionDiverged("Newton step stalled", last_iterate=w)
-        w, r = w_new, r_new
-    if abs(r) < tol * scale:
-        return w
-    raise InversionDiverged(f"Newton did not converge (residual {abs(r):.3e})",
-                            last_iterate=w)
+        errors.update(dict.fromkeys(todo.tolist(), "Newton step stalled"))
+        act = np.setdiff1d(act, todo)
+    act = act[~(np.abs(r[act]) < lim[act])]
+    errors.update((i, f"Newton did not converge (residual {abs(r[i]):.3e})")
+                  for i in act.tolist())
+    last = w.reshape(shape) if shape else complex(w[0])
+    if errors:
+        failed = np.zeros(t.size, dtype=bool)
+        failed[list(errors)] = True
+        message = errors[min(errors)]
+        if shape:
+            message += f" at {len(errors)} of {t.size} points"
+        raise InversionDiverged(message, last_iterate=last,
+                                failed=failed.reshape(shape) if shape else None)
+    return last
 
 
 def voiculescu_from(F, Fp, z: complex, seed=None) -> complex:

@@ -155,6 +155,11 @@ class TestIdcheck:
         out = capsys.readouterr().out
         assert "FailsAt" in out or "ContinuationBroken" in out
 
+    @pytest.mark.parametrize("width", ["nan", "inf", "-1"])
+    def test_bad_width_is_input_error(self, bernoulli_file, width, capsys):
+        assert main(["idcheck", bernoulli_file, f"--width={width}"]) == 1
+        assert "input error" in capsys.readouterr().err
+
 
 class TestRates:
     def test_stdout_report(self, tmp_path, capsys):

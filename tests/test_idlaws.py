@@ -8,7 +8,8 @@ from freeconv.idlaws import (FamilySpec, family_cauchy, family_measure,
                              is_free_id_sampled, meixner_w,
                              semicircle)
 from freeconv.inversion import stieltjes_cdf
-from freeconv.measures import bernoulli_measure
+from freeconv import measures
+from freeconv.measures import bernoulli_measure, make_atomic
 from freeconv.subordination import solve_Zn_grid
 from freeconv.transforms import reciprocal_pair
 
@@ -129,6 +130,38 @@ class TestIdVerdicts:
             is_free_id_sampled(m, depth_grid=(1.0, 0.01))
         with pytest.raises(ValueError):
             is_free_id_sampled(m, depth_grid=(1.0,))
+
+    def test_sampling_validation(self):
+        m = bernoulli_measure()
+        with pytest.raises(ValueError):
+            is_free_id_sampled(m, x_samples=0)
+        for width in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError):
+                is_free_id_sampled(m, width=width)
+
+    @pytest.mark.parametrize("case, z", [
+        ("bernoulli", 2.0002655501876174j),
+        ("two_point", 1.5 + 2.0002655501876174j),
+        # an interior path fails: the paths below it must still finish
+        ("bimodal_grid", 3.017546253142025j),
+        # path 2 fails shallower than path 0; path 0's failure is reported
+        ("ordering", -2 + 2.0002655501876174j),
+    ])
+    def test_verdict_of_lowest_failing_path(self, case, z):
+        xs = np.linspace(-3.0, 3.0, 2001)
+        m = {
+            "bernoulli": bernoulli_measure,
+            "two_point": lambda: make_atomic([(-0.5, 0.8), (2.0, 0.2)]),
+            "bimodal_grid": lambda: measures.from_density(
+                xs, np.exp(-(xs - 1.5)**2 / 0.1) + np.exp(-(xs + 1.5)**2 / 0.1),
+                normalize=True),
+            "ordering": lambda: make_atomic(
+                [(-2.163, 0.119), (-0.666, 0.245), (2.235, 0.636)]),
+        }[case]()
+        v = is_free_id_sampled(m)
+        assert v.kind == "continuation_broken"
+        assert v.detail == "continuation left the smooth branch"
+        assert abs(v.z - z) < 1e-12
 
     def test_semicircle_closed_form_passes(self):
         v = is_free_id_sampled(semicircle())

@@ -157,6 +157,50 @@ class TestNewtonInvert:
         with pytest.raises(InversionDiverged):
             newton_invert(F, Fp, 5j, 1j)
 
+    @pytest.mark.parametrize("m", [semicircle_measure(201), bernoulli_measure()],
+                             ids=["semicircle201", "bernoulli"])
+    def test_batch_equals_scalar_solves(self, m):
+        F, Fp = reciprocal_pair(m)
+        targets = np.linspace(-2.0, 2.0, 9) + 3j
+        seeds = targets + 0.5
+        batch = newton_invert(F, Fp, targets, seeds)
+        assert batch.shape == targets.shape
+        for t, s, w in zip(targets, seeds, batch):
+            one = newton_invert(F, Fp, complex(t), complex(s))
+            assert type(one) is complex
+            assert one == w       # bit for bit
+
+    def test_batch_reports_divergence_once(self):
+        def F(w):
+            return 1j * abs(w) / (1 + abs(w))      # bounded: 5j unreachable
+
+        def Fp(w):
+            return 1.0
+
+        targets = np.array([0.25j, 5j, 0.5j, 0.1j])
+        seeds = np.array([0.5j, 1j, 1j, 0.5j])
+        with pytest.raises(InversionDiverged) as info:
+            newton_invert(F, Fp, targets, seeds)
+        exc = info.value
+        assert exc.failed.tolist() == [False, True, False, False]
+        assert exc.last_iterate.shape == targets.shape
+        ok = ~exc.failed
+        assert np.all(np.abs(F(exc.last_iterate[ok]) - targets[ok]) < 1e-10)
+
+    def test_idcheck_makes_one_call_per_depth(self, monkeypatch):
+        from freeconv import idlaws
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return newton_invert(*args, **kwargs)
+
+        monkeypatch.setattr(idlaws, "newton_invert", counted)
+        assert idlaws.is_free_id_sampled(semicircle_measure(201)).passes
+        assert len(calls) == len(idlaws.DEFAULT_DEPTH_GRID) + 1
+        assert all(np.shape(t) == (9,) for t in calls[1:])
+
 
 class TestNevanlinnaSigma:
     def test_dirac_gives_zero_measure(self):
