@@ -10,15 +10,13 @@ slope fit summarizes the empirical decay rate.
 from __future__ import annotations
 
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import idlaws
 from .errors import FreeconvError, NotNormalized
-from .inversion import kolmogorov, stieltjes_cdf
+from .inversion import _eta_levels, kolmogorov, stieltjes_cdf
 from .measures import Measure
 from .subordination import solve_pair_grid, solve_Zn_grid
 from .transforms import as_evaluator
@@ -47,7 +45,7 @@ class ExperimentConfig:
             raise ValueError("grid bounds must be increasing")
         object.__setattr__(self, "n_values", ns)
         object.__setattr__(self, "grid", (float(lo), float(hi), int(points)))
-        object.__setattr__(self, "eta_schedule", tuple(float(e) for e in self.eta_schedule))
+        object.__setattr__(self, "eta_schedule", _eta_levels(self.eta_schedule))
 
 
 @dataclass(frozen=True)
@@ -71,17 +69,6 @@ class RateReport:
     def save(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(self.to_csv())
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("FREECONV_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return cap
 
 
 def power_cdf(source, n: int, xs, eta_schedule=DEFAULT_ETA):
@@ -140,30 +127,19 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
     m3 = mu.moment(3)
     lo, hi, points = cfg.grid
     xs = np.linspace(lo, hi, points)
-    rows = {}
-    failures = {}
-
-    def run_one(n):
+    ordered, failures = [], []
+    for n in cfg.n_values:
         try:
-            rows[n] = _rate_row(cfg, xs, m3, n)
+            ordered.append((n, *_rate_row(cfg, xs, m3, n)))
         except FreeconvError as exc:
-            failures[n] = str(exc)
-
-    workers = min(_worker_count(), len(cfg.n_values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, cfg.n_values))
-    else:
-        for n in cfg.n_values:
-            run_one(n)
-    ordered = [(n, *rows[n]) for n in cfg.n_values if n in rows]
+            failures.append((n, str(exc)))
     if len(ordered) >= 2:
         slope, stderr = fit_loglog_slope([r[0] for r in ordered],
                                          [r[2] for r in ordered])
     else:
         slope, stderr = float("nan"), float("nan")
     report = RateReport(rows=tuple(ordered), slope=slope, slope_stderr=stderr,
-                        failed=tuple(sorted(failures.items())))
+                        failed=tuple(failures))
     if cfg.output_path:
         report.save(cfg.output_path)
     return report

@@ -4,9 +4,11 @@ The one-parameter family w_a has the closed-form Cauchy transform
 
     G(z) = 1 / (a + (z - a + sqrt((z - a)^2 - 4)) / 2)
 
-with the square-root branch fixed by Im z > 0  =>  Im(1/G) >= Im z; w_0 is
-the standard semicircle law.  The semicircle and free Poisson families are
-included as additional closed-form test laws.
+with the square-root branch fixed by Im z > 0  =>  Im(1/G) >= Im z.  Its
+Voiculescu transform is 1/(z - a), so its free cumulants are a^(k-2): w_a is
+the standardized free Poisson law of rate 1/a^2, and w_0 the standard
+semicircle law.  The semicircle and free Poisson families are therefore
+evaluated as affine images of w_a.
 """
 
 from __future__ import annotations
@@ -93,51 +95,25 @@ def _assert_branch(z, g):
             raise AssertionError("square-root branch violated Im(1/G) >= Im z")
 
 
-def _semicircle_pair(mean: float, variance: float):
-    sd = float(np.sqrt(variance))
-
-    # (u - sqrt(u^2-4))/2 cancels badly for large |u|; u^2 - s^2 = 4 gives
-    # the stable equivalent 2/(u + s)
-    def G(z):
-        u = (np.asarray(z, dtype=complex) - mean) / sd
-        return 2.0 / (sd * (u + _edge_sqrt(u, -2.0, 2.0)))
-
-    def Gp(z):
-        u = (np.asarray(z, dtype=complex) - mean) / sd
-        s = _edge_sqrt(u, -2.0, 2.0)
-        return -2.0 * (1.0 + u / s) / (variance * (u + s) ** 2)
-
-    return G, Gp
-
-
-def _free_poisson_pair(rate: float):
-    lo = (1.0 - np.sqrt(rate)) ** 2
-    hi = (1.0 + np.sqrt(rate)) ** 2
-
-    # (z+1-rate-s)/(2z) cancels for large |z|; with u = z+1-rate one has
-    # u^2 - s^2 = 4z, so G = 2/(u + s) is the stable equivalent
-    def G(z):
-        z = np.asarray(z, dtype=complex)
-        u = z + 1.0 - rate
-        return 2.0 / (u + _edge_sqrt(z, lo, hi))
-
-    def Gp(z):
-        z = np.asarray(z, dtype=complex)
-        s = _edge_sqrt(z, lo, hi)
-        u = z + 1.0 - rate
-        return -2.0 * (1.0 + (z - 1.0 - rate) / s) / (u + s) ** 2
-
-    return G, Gp
-
-
 def family_transform(spec: FamilySpec):
-    """(G, G') closed-form evaluators for a family spec."""
+    """(G, G') closed-form evaluators for a family spec.
+
+    Every family is the law of c + s W with W ~ w_a, so that
+    G(z) = G_W((z - c)/s)/s and G'(z) = G_W'((z - c)/s)/s^2:
+    semicircle(m, v) is s = sqrt(v), c = m, a = 0, and free_poisson(r) is
+    s = sqrt(r), c = r, a = 1/sqrt(r).  meixner_w(a) is w_a itself.
+    """
     p = spec.params
+    if spec.name == "meixner_w":
+        return _meixner_pair(p["a"])
     if spec.name == "semicircle":
-        return _semicircle_pair(p["mean"], p["variance"])
-    if spec.name == "free_poisson":
-        return _free_poisson_pair(p["rate"])
-    return _meixner_pair(p["a"])
+        s, c, a = float(np.sqrt(p["variance"])), p["mean"], 0.0
+    else:
+        s = float(np.sqrt(p["rate"]))
+        c, a = p["rate"], 1.0 / s
+    G_W, Gp_W = _meixner_pair(a)
+    return (lambda z: G_W((np.asarray(z, dtype=complex) - c) / s) / s,
+            lambda z: Gp_W((np.asarray(z, dtype=complex) - c) / s) / (s * s))
 
 
 def family_cauchy(spec: FamilySpec, z):

@@ -2,9 +2,9 @@
 
 Inversion integrates -Im G(x + i eta)/pi per grid interval at the levels of a
 decreasing eta schedule and extrapolates the interval masses to eta = 0 from
-the smallest levels (linear for two levels, sqrt(eta)-aware for three).  The resulting tables are continuous at grid
-resolution (atoms below grid scale appear as steep rises, localized by the
-cell-refinement rule).
+the smallest levels (linear for two levels, sqrt(eta)-aware for three).  The
+resulting tables are continuous at grid resolution (atoms below grid scale
+appear as steep rises, localized by the cell-refinement rule).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class CdfTable:
     xs: np.ndarray
     values: np.ndarray
     left_limits: np.ndarray
-    eta_used: float = 0.0
 
     def __post_init__(self):
         xs = np.ascontiguousarray(self.xs, dtype=float)
@@ -39,6 +38,9 @@ class CdfTable:
         left = np.ascontiguousarray(self.left_limits, dtype=float)
         if not (xs.shape == vals.shape == left.shape) or xs.ndim != 1:
             raise ValueError("xs/values/left_limits must be aligned 1-d arrays")
+        # NaN passes every order check below, so it is refused first
+        if not all(np.isfinite(a).all() for a in (xs, vals, left)):
+            raise ValueError("xs/values/left_limits must be finite")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("xs must be strictly increasing")
         if np.any(vals < -1e-12) or np.any(vals > 1 + 1e-12):
@@ -113,7 +115,19 @@ def load_cdf_csv(path) -> CdfTable:
 class DistanceReport:
     distance: float
     argmax_x: float
-    method: str = "merged-grid-sup"
+
+
+def _eta_levels(eta_schedule) -> tuple:
+    """The schedule as floats: at least two levels, finite, positive and
+    strictly decreasing, else ScheduleTooShort."""
+    levels = tuple(float(e) for e in eta_schedule)
+    if len(levels) < 2:
+        raise ScheduleTooShort("eta schedule needs at least two entries")
+    if not (all(0 < e < np.inf for e in levels)
+            and all(b < a for a, b in zip(levels, levels[1:]))):
+        raise ScheduleTooShort("eta schedule must be strictly decreasing, "
+                               "positive and finite")
+    return levels
 
 
 def _extrapolation_weights(schedule):
@@ -161,7 +175,7 @@ def _interval_masses(g, xs, eta, row, refine=None):
     return masses
 
 
-def _detect_atoms(g, xs, eta, total_mass, row):
+def _detect_atoms(g, xs, eta, row):
     """Locate point masses sitting on grid nodes, before the continuous pass.
 
     Candidates come from cells concentrating a large share of the total mass
@@ -177,7 +191,7 @@ def _detect_atoms(g, xs, eta, total_mass, row):
     dens = np.maximum(-np.imag(row) / np.pi, 0.0)
     h = np.diff(xs)
     cell = 0.5 * h * (dens[:-1] + dens[1:])
-    heavy = np.nonzero(cell > ATOM_CELL_THRESHOLD * total_mass)[0]
+    heavy = np.nonzero(cell > ATOM_CELL_THRESHOLD)[0]
     atoms = []
     for grp in np.split(heavy, np.nonzero(np.diff(heavy) > 2)[0] + 1):
         if grp.size == 0:
@@ -195,29 +209,26 @@ def _detect_atoms(g, xs, eta, total_mass, row):
         dsub = np.maximum(-np.imag(g(sub + 1j * eta)) / np.pi, 0.0)
         run_mass = float(np.trapezoid(dsub, sub))
         if w_est[j] > 0 and w_est[j] >= 0.5 * run_mass:
-            atoms.append((lo + j, float(min(w_est[j], total_mass))))
+            atoms.append((lo + j, float(min(w_est[j], 1.0))))
     return atoms
 
 
-def stieltjes_cdf(g, xs, eta_schedule=(0.04, 0.02, 0.01),
-                  total_mass: float = 1.0) -> CdfTable:
-    """Recover a CDF table from a Cauchy-transform evaluator g.
+def stieltjes_cdf(g, xs, eta_schedule=(0.04, 0.02, 0.01)) -> CdfTable:
+    """Recover the CDF table of a probability measure from its Cauchy-transform
+    evaluator g.
 
     g maps complex arrays in the upper half plane to G values with
-    -Im G >= 0.  Interval masses at the smallest eta levels are extrapolated
-    to eta = 0 (linearly for a two-level schedule; with an extra sqrt(eta)
-    term for three, which handles square-root density edges), cumulated and
-    clipped to [0, total_mass].
+    -Im G >= 0.  The eta schedule needs at least two levels, finite, positive
+    and strictly decreasing (else ScheduleTooShort).  Interval masses at the
+    smallest eta levels are extrapolated to eta = 0 (linearly for a two-level
+    schedule; with an extra sqrt(eta) term for three, which handles
+    square-root density edges), cumulated and clipped to [0, 1].  A mass
+    deficit above MASS_DEFICIT_WARN is warned about.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0):
         raise ValueError("xs must be a strictly increasing grid")
-    schedule = [float(e) for e in eta_schedule]
-    if len(schedule) < 2:
-        raise ScheduleTooShort("eta schedule needs at least two entries")
-    if any(e <= 0 for e in schedule) or any(b <= a for a, b in
-                                            zip(schedule[1:], schedule[:-1])):
-        raise ScheduleTooShort("eta schedule must be strictly decreasing and positive")
+    schedule = _eta_levels(eta_schedule)
     jumps = np.zeros(xs.size)
     weights, skip = _extrapolation_weights(schedule)
     used = schedule[skip:]
@@ -225,7 +236,7 @@ def stieltjes_cdf(g, xs, eta_schedule=(0.04, 0.02, 0.01),
     # serves atom detection
     z_min = xs + 1j * used[-1]
     row_min = g(z_min)
-    atoms = _detect_atoms(g, xs, used[-1], total_mass, row_min)
+    atoms = _detect_atoms(g, xs, used[-1], row_min)
     gc = g
     if atoms:
         pos = np.array([xs[j] for j, _ in atoms])
@@ -248,7 +259,7 @@ def stieltjes_cdf(g, xs, eta_schedule=(0.04, 0.02, 0.01),
     per_eta = [_interval_masses(gc, xs, eta, row) for eta, row in zip(used, rows)]
     masses = sum(w * m for w, m in zip(weights, per_eta))
     # concentrated cells get a refined re-integration at every used level
-    refine = np.nonzero(masses > ATOM_CELL_THRESHOLD * total_mass)[0]
+    refine = np.nonzero(masses > ATOM_CELL_THRESHOLD)[0]
     if refine.size:
         per_eta = [_interval_masses(gc, xs, eta, row, refine=refine)
                    for eta, row in zip(used, rows)]
@@ -256,16 +267,14 @@ def stieltjes_cdf(g, xs, eta_schedule=(0.04, 0.02, 0.01),
     masses = np.maximum(masses, 0.0)
     cont = np.concatenate(([0.0], np.cumsum(masses)))   # mass strictly below node k
     values = cont + np.cumsum(jumps)                    # F(x_k+)
-    values = np.maximum.accumulate(np.clip(values, 0.0, total_mass))
-    left = np.clip(values - jumps, 0.0, total_mass)     # F(x_k-)
+    values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
+    left = np.clip(values - jumps, 0.0, 1.0)            # F(x_k-)
     left = np.maximum(left, np.concatenate(([0.0], values[:-1])))
-    deficit = total_mass - values[-1]
-    if deficit > MASS_DEFICIT_WARN * max(total_mass, 1e-300):
-        warnings.warn(f"inversion grid lost {deficit:.3g} of {total_mass:.3g} "
-                      "total mass; widen the grid or refine the eta schedule",
-                      stacklevel=2)
-    scale = max(total_mass, 1e-300)
-    return CdfTable(xs, values / scale, left / scale, eta_used=schedule[-1])
+    deficit = 1.0 - values[-1]
+    if deficit > MASS_DEFICIT_WARN:
+        warnings.warn(f"inversion grid lost {deficit:.3g} of 1 total mass; "
+                      "widen the grid or refine the eta schedule", stacklevel=2)
+    return CdfTable(xs, values, left)
 
 
 def measure_to_cdf(m: Measure) -> CdfTable:

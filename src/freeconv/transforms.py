@@ -14,8 +14,6 @@ from .errors import (CauchyVanishes, InversionDiverged, NotCentered,
                      NotUpperHalfPlane)
 from .measures import Measure
 
-HALF_PLANE_TOL = 1e-10
-
 # Density part of G and G' (the atoms are summed directly).  Three zones:
 #
 # * far points, |z - c| > _LAURENT_RHO * R about the centre c and half-width R
@@ -58,12 +56,16 @@ _LAURENT_ORDER = _laurent_order(_LAURENT_RHO)
 # many elements, which bounds memory and keeps the blocks in cache
 _BLOCK = 1 << 15
 _DOT_CHUNK = 8192
+# newton_invert stops at |F(w) - target| < _NEWTON_TOL * max(1, |target|)
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 200
 
 
 def require_upper(z):
     z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise NotUpperHalfPlane("evaluation point must have Im z > 0")
+    # Im z > 0 alone admits a NaN real part and an infinite imaginary part
+    if not np.all(np.isfinite(z) & (z.imag > 0)):
+        raise NotUpperHalfPlane("evaluation point must be finite with Im z > 0")
     return z
 
 
@@ -159,9 +161,14 @@ class _DensityKernel:
         y2 = (y * y)[:, None]
         dm = x[:, None] - self.tm
         i, j = np.nonzero(dm * dm + y2 <= self.near_r2)
-        # far segments: sum_k W_k / (z - tau_k) with the near ones zeroed
-        dx = x[:, None] - self.nodes
-        r = dx * dx
+        # far segments: sum_k W_k / (z - tau_k) with the near ones zeroed.
+        # dx and r share one allocation: glibc's trim threshold grows to twice
+        # the largest block it has freed, so two such arrays freed together
+        # can exceed it and have the heap trimmed and page-faulted anew at
+        # every block, while one array of twice the size cannot
+        dx, r = np.empty((2, z.size, self.nodes.size))
+        np.subtract(x[:, None], self.nodes, out=dx)
+        np.multiply(dx, dx, out=r)
         r += y2
         np.reciprocal(r, out=r)
         r.reshape(z.size, self.size, _GL_NODES.size)[i, j] = 0.0
@@ -285,15 +292,17 @@ def c1_index(source) -> float:
     return float(np.imag(f)) - 1.0
 
 
-def newton_invert(F, Fp, target, seed, tol: float = 1e-10, max_iter: int = 200):
+def newton_invert(F, Fp, target, seed):
     """Solve F(w) = target for w in the upper half plane by damped Newton.
 
     target and seed are complex scalars or arrays of one broadcast shape; F and
     Fp are called on 1-d arrays.  Each point runs its own damped Newton: the
     step is halved (up to 60 times) until it stays in the upper half plane and
-    lowers |F(w) - target|.  A point leaves the batch when it converges or
-    fails, so its iterates do not depend on the other points.  A scalar call
-    returns a complex, an array call an array of the broadcast shape.
+    lowers |F(w) - target|.  A point converges when that residual is below
+    _NEWTON_TOL * max(1, |target|), and fails after _NEWTON_MAX_ITER steps.
+    A point leaves the batch when it converges or fails, so its iterates do
+    not depend on the other points.  A scalar call returns a complex, an array
+    call an array of the broadcast shape.
 
     Divergence is reported, never silently replaced by a fallback value: once
     every point has finished, InversionDiverged is raised with last_iterate of
@@ -305,11 +314,11 @@ def newton_invert(F, Fp, target, seed, tol: float = 1e-10, max_iter: int = 200):
     shape = t.shape
     t, w = t.ravel(), w.ravel()
     w = np.where(w.imag <= 0, w.real + 1e-3j, w)
-    lim = tol * np.maximum(1.0, np.abs(t))
+    lim = _NEWTON_TOL * np.maximum(1.0, np.abs(t))
     r = F(w) - t
     errors = {}                 # index of a failed point -> reason
     act = np.arange(t.size)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         act = act[~(np.abs(r[act]) < lim[act])]
         if not act.size:
             break
@@ -350,13 +359,10 @@ def newton_invert(F, Fp, target, seed, tol: float = 1e-10, max_iter: int = 200):
     return last
 
 
-def voiculescu_from(F, Fp, z: complex, seed=None) -> complex:
-    """phi(z) = F^(-1)(z) - z via verified Newton inversion of F."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise NotUpperHalfPlane("evaluation point must have Im z > 0")
-    w = newton_invert(F, Fp, z, z if seed is None else seed)
-    return w - z
+def voiculescu_from(F, Fp, z: complex) -> complex:
+    """phi(z) = F^(-1)(z) - z via verified Newton inversion of F, seeded at z."""
+    z = complex(require_upper(z))
+    return newton_invert(F, Fp, z, z) - z
 
 
 def voiculescu(source, z: complex) -> complex:

@@ -4,7 +4,7 @@ import pytest
 from freeconv import idlaws
 from freeconv.bench import (ExperimentConfig, RateReport, fit_loglog_slope,
                             run_rate_experiment)
-from freeconv.errors import NotNormalized
+from freeconv.errors import NotNormalized, ScheduleTooShort
 from freeconv.measures import bernoulli_measure, make_atomic, semicircle_measure
 
 
@@ -20,6 +20,14 @@ class TestExperimentConfig:
             ExperimentConfig(bernoulli_measure(), (2, 4), grid=(-4, 4, 50))
         with pytest.raises(ValueError):
             ExperimentConfig(bernoulli_measure(), (2, 4), grid=(4, -4, 201))
+
+    @pytest.mark.parametrize("eta", [(0.01,), (float("inf"), 0.01),
+                                     (0.02, float("nan")), (0.01, 0.02),
+                                     (0.02, 0.0)],
+                             ids=["one_level", "inf", "nan", "increasing", "zero"])
+    def test_eta_schedule_validation(self, eta):
+        with pytest.raises(ScheduleTooShort):
+            ExperimentConfig(bernoulli_measure(), (2, 4), eta_schedule=eta)
 
 
 class TestFitSlope:

@@ -70,6 +70,15 @@ class TestPowerAndDistance:
         assert main(["distance", ref, ref]) == 0
         assert float(capsys.readouterr().out.strip()) == 0.0
 
+    def test_nan_table_is_input_error(self, tmp_path, capsys):
+        good = arcsine_csv(tmp_path / "a.csv", points=11)
+        bad = tmp_path / "b.csv"
+        lines = (tmp_path / "a.csv").read_text().splitlines()
+        lines[5] = "nan,nan,nan"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["distance", good, str(bad)]) == 1
+        assert "input error" in capsys.readouterr().err
+
     def test_bad_grid_spec(self, bernoulli_file, tmp_path):
         assert main(["power", bernoulli_file, "--n", "2", "--grid", "junk",
                      "--out", str(tmp_path / "x.csv")]) == 1
@@ -187,6 +196,18 @@ class TestRates:
             assert main(["rates", str(cfg)]) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("eta", ["0.01", "inf,0.01", "0.02,nan"])
+    def test_bad_eta_is_error(self, tmp_path, eta, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "measure": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]},
+            "n_values": [4, 8],
+        }))
+        assert main(["rates", str(cfg), f"--eta={eta}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eta schedule" in captured.err
 
 
 def test_unknown_command_is_usage_error():

@@ -88,6 +88,47 @@ class TestFamilyCauchy:
         assert np.max(np.abs(a - b)) < 1e-12
 
 
+def _mp_family(spec, zs):
+    """G and G' of a semicircle or free Poisson spec at zs, in 40-digit
+    arithmetic from the textbook form G = 2/(u + S), S = sqrt((z-lo)(z-hi)),
+    with u = z - m for the semicircle and u = z + 1 - r for free Poisson."""
+    mp = pytest.importorskip("mpmath")
+    ctx = mp.mp.clone()
+    ctx.dps = 40
+    p = spec.params
+    if spec.name == "semicircle":
+        m, sd = ctx.mpf(p["mean"]), ctx.sqrt(ctx.mpf(p["variance"]))
+        lo, hi, shift = m - 2 * sd, m + 2 * sd, -m
+    else:
+        r = ctx.mpf(p["rate"])
+        lo, hi, shift = (1 - ctx.sqrt(r)) ** 2, (1 + ctx.sqrt(r)) ** 2, 1 - r
+    G, Gp = [], []
+    for z in zs:
+        zm = ctx.mpc(z.real, z.imag)
+        S = ctx.sqrt(zm - lo) * ctx.sqrt(zm - hi)
+        d = zm + shift + S
+        G.append(complex(2 / d))
+        # S' = (2z - lo - hi) / (2 S)
+        Gp.append(complex(-2 * (1 + (2 * zm - lo - hi) / (2 * S)) / (d * d)))
+    return np.array(G), np.array(Gp)
+
+
+class TestAffineClosedForms:
+    """semicircle and free_poisson are evaluated as affine images of w_a."""
+
+    @pytest.mark.parametrize("spec", [semicircle(0.7, 2.56), free_poisson(0.01),
+                                      free_poisson(0.5), free_poisson(2.0),
+                                      free_poisson(50.0)],
+                             ids=["sc_shifted", "fp0.01", "fp0.5", "fp2", "fp50"])
+    def test_matches_mpmath(self, spec):
+        zs = (np.linspace(-6.0, 6.0, 49)[:, None]
+              + 1j * np.geomspace(1e-4, 100.0, 25)).ravel()
+        G_ref, Gp_ref = _mp_family(spec, zs)
+        G, Gp = family_transform(spec)
+        assert np.max(np.abs(G(zs) - G_ref) / np.abs(G_ref)) < 5e-12
+        assert np.max(np.abs(Gp(zs) - Gp_ref) / np.abs(Gp_ref)) < 5e-12
+
+
 class TestFamilyMeasure:
     @pytest.mark.parametrize("spec", [semicircle(), semicircle(0.5, 2.0),
                                       free_poisson(2.0), free_poisson(0.5),

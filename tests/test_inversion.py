@@ -38,6 +38,17 @@ class TestCdfTable:
             CdfTable(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                      np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN passes the order checks, so it must be refused on its own
+        good = [np.array([0.0, 1.0, 2.0]), np.array([0.2, 0.6, 1.0]),
+                np.array([0.0, 0.6, 1.0])]
+        for k in range(3):
+            arrays = [a.copy() for a in good]
+            arrays[k][1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                CdfTable(*arrays)
+
     def test_one_sided_evaluation(self):
         t = measure_to_cdf(bernoulli_measure())
         assert t.value_at(-1.0) == pytest.approx(0.5)
@@ -107,6 +118,13 @@ class TestStieltjesCdf:
             stieltjes_cdf(lambda z: 1 / z, xs, (0.1,))
         with pytest.raises(ScheduleTooShort):
             stieltjes_cdf(lambda z: 1 / z, xs, (0.05, 0.1))
+
+    @pytest.mark.parametrize("schedule", [(0.02, np.nan), (np.inf, 0.01),
+                                          (np.nan, 0.01), (0.04, 0.02, np.nan)],
+                             ids=["nan_last", "inf_first", "nan_first", "nan_third"])
+    def test_schedule_must_be_finite(self, schedule):
+        with pytest.raises(ScheduleTooShort):
+            stieltjes_cdf(lambda z: 1 / z, np.linspace(-1, 1, 11), schedule)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,9 @@ from freeconv.subordination import (boundary_curve, inverse_Zn, pair_cauchy,
 from freeconv.transforms import cauchy
 
 SEMI = idlaws.semicircle()
+NON_FINITE = pytest.mark.parametrize(
+    "z", [complex(0.0, float("nan")), complex(0.0, float("inf")),
+          complex(float("nan"), 1.0)], ids=["nan_imag", "inf_imag", "nan_real"])
 
 
 def delta(x):
@@ -52,6 +55,11 @@ class TestSolveZn:
     def test_rejects_lower_half_plane(self):
         with pytest.raises(NotUpperHalfPlane):
             solve_Zn(bernoulli_measure(), 2, 1 - 1j)
+
+    @NON_FINITE
+    def test_rejects_non_finite(self, z):
+        with pytest.raises(NotUpperHalfPlane):
+            solve_Zn(bernoulli_measure(), 4, z)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -192,6 +200,11 @@ class TestSolvePair:
         assert abs(z - (Z1 + Z2 - F1)) < 1e-9
         assert abs(F1 - F2) < 1e-9
         assert Z1.imag >= z.imag - 1e-10 and Z2.imag >= z.imag - 1e-10
+
+    @NON_FINITE
+    def test_rejects_non_finite(self, z):
+        with pytest.raises(NotUpperHalfPlane):
+            solve_pair(bernoulli_measure(), bernoulli_measure(), z)
 
     def test_divergence_reports_last_iterate(self):
         with pytest.raises(FixedPointDiverged) as exc:

@@ -68,6 +68,17 @@ class TestCauchy:
         with pytest.raises(NotUpperHalfPlane):
             cauchy(bernoulli_measure(), 1.0 + 0j)
 
+    @pytest.mark.parametrize("z", [complex(0.0, float("nan")),
+                                   complex(0.0, float("inf")),
+                                   complex(float("nan"), 1.0)],
+                             ids=["nan_imag", "inf_imag", "nan_real"])
+    def test_rejects_non_finite(self, z):
+        # NaN fails every comparison, so Im z <= 0 alone lets it through
+        with pytest.raises(NotUpperHalfPlane):
+            cauchy(bernoulli_measure(), z)
+        with pytest.raises(NotUpperHalfPlane):
+            cauchy(bernoulli_measure(), np.array([1j, z]))
+
 
 class TestReciprocalCauchy:
     @given(upper_points)
