@@ -19,7 +19,6 @@ from .errors import FreeconvError, NotNormalized
 from .inversion import _eta_levels, kolmogorov, stieltjes_cdf
 from .measures import Measure
 from .subordination import solve_pair_grid, solve_Zn_grid
-from .transforms import as_evaluator
 
 DEFAULT_GRID = (-4.0, 4.0, 2001)
 DEFAULT_ETA = (0.04, 0.02, 0.01)
@@ -38,9 +37,13 @@ class ExperimentConfig:
         ns = tuple(int(n) for n in self.n_values)
         if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_values must be at least two increasing integers")
+        if ns[0] < 1:
+            raise ValueError("n_values must be positive")
         lo, hi, points = self.grid
         if points < 101:
             raise ValueError("grid needs at least 101 points")
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("grid bounds must be finite")
         if hi <= lo:
             raise ValueError("grid bounds must be increasing")
         object.__setattr__(self, "n_values", ns)
@@ -73,23 +76,19 @@ class RateReport:
 
 def power_cdf(source, n: int, xs, eta_schedule=DEFAULT_ETA):
     """CDF table on xs of the n-fold free convolution power of source."""
-    G, _ = as_evaluator(source)
 
     def g(z):
         # 1e-9 is far below the distances being measured
-        Zn, _, _ = solve_Zn_grid(source, n, z, tol=1e-9)
-        return G(Zn)
+        return solve_Zn_grid(source, n, z, tol=1e-9)[2]
 
     return stieltjes_cdf(g, xs, eta_schedule)
 
 
 def pair_cdf(m1, m2, xs, eta_schedule=DEFAULT_ETA):
     """CDF table on xs of the free additive convolution of m1 and m2."""
-    G1, _ = as_evaluator(m1)
 
     def g(z):
-        Z1, _ = solve_pair_grid(m1, m2, z)
-        return G1(Z1)
+        return solve_pair_grid(m1, m2, z)[1]
 
     return stieltjes_cdf(g, xs, eta_schedule)
 

@@ -226,8 +226,9 @@ def stieltjes_cdf(g, xs, eta_schedule=(0.04, 0.02, 0.01)) -> CdfTable:
     deficit above MASS_DEFICIT_WARN is warned about.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0):
-        raise ValueError("xs must be a strictly increasing grid")
+    if (xs.ndim != 1 or xs.size < 2 or not np.all(np.isfinite(xs))
+            or np.any(np.diff(xs) <= 0)):
+        raise ValueError("xs must be a strictly increasing finite grid")
     schedule = _eta_levels(eta_schedule)
     jumps = np.zeros(xs.size)
     weights, skip = _extrapolation_weights(schedule)

@@ -64,6 +64,8 @@ class Measure:
         if np.any(wts <= 0):
             raise NonPositiveWeight("atom weights must be positive")
         pos, wts = _merge_atoms(pos, wts)
+        if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(dens)):
+            raise ValueError("grid and density must be finite")
         if grid.size:
             if grid.size < 2:
                 raise ValueError("density grid needs at least 2 nodes")
@@ -212,7 +214,7 @@ def _clip_density(grid, density, N):
 
 def _check_probability(m: Measure) -> Measure:
     total = m.mass()
-    if abs(total - 1.0) > MASS_TOL:
+    if not abs(total - 1.0) <= MASS_TOL:
         raise MassNotOne(f"total mass {total!r} is not 1 within {MASS_TOL}")
     return m
 

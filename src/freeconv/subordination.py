@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import FixedPointDiverged, NotCentered
 from .measures import Measure
-from .transforms import (as_evaluator, nevanlinna_sigma, reciprocal_pair,
-                         require_upper)
+from .transforms import as_evaluator, require_upper
 
 MAX_ITER = 10_000
 
@@ -30,10 +29,6 @@ class SubordinationResult:
     Zn: complex
     iterations: int
     residual: float
-
-
-def _residual(F, n, z, w):
-    return np.abs(z - n * w + (n - 1) * F(w))
 
 
 def _guarded_newton(step, z, w, floor, tol, max_iter, what):
@@ -73,14 +68,14 @@ def _guarded_newton(step, z, w, floor, tol, max_iter, what):
 
 def solve_Zn_grid(source, n: int, z, tol: float = 1e-12,
                   max_iter: int = MAX_ITER):
-    """Vectorized subordination solve; returns (Zn, iterations, residual)."""
+    """Vectorized subordination solve; returns (Zn, iterations, G(Zn))."""
     z = require_upper(z)
     if n < 1:
         raise ValueError("n must be a positive integer")
+    G, Gp = as_evaluator(source)
     if n == 1:
         zz = np.array(z, dtype=complex)
-        return zz, 0, np.zeros(zz.shape)
-    G, Gp = as_evaluator(source)
+        return zz, 0, G(zz)
     c = (n - 1.0) / n
     eps = np.finfo(float).eps
 
@@ -100,59 +95,56 @@ def solve_Zn_grid(source, n: int, z, tol: float = 1e-12,
 
     Zn, it = _guarded_newton(step, z, z + 1j, z.imag / n, tol, max_iter,
                              "subordination fixed point")
-    F, _ = reciprocal_pair(source)
-    return Zn, it, _residual(F, n, z, Zn)
+    return Zn, it, G(Zn)
 
 
 def solve_Zn(source, n: int, z: complex, tol: float = 1e-12,
              max_iter: int = MAX_ITER) -> SubordinationResult:
     """Solve z = n Z - (n-1) F(Z) for the unique Z with Im Z >= Im z."""
     zz = np.asarray(complex(z), dtype=complex)
-    Zn, its, res = solve_Zn_grid(source, n, zz, tol=tol, max_iter=max_iter)
+    Zn, its, g = solve_Zn_grid(source, n, zz, tol=tol, max_iter=max_iter)
+    residual = np.abs(zz - n * Zn + (n - 1) * (1.0 / g))
     return SubordinationResult(z=complex(z), Zn=complex(Zn),
-                               iterations=its, residual=float(res))
+                               iterations=its, residual=float(residual))
 
 
 def power_cauchy(source, n: int, z):
     """Cauchy transform of the n-fold free convolution power at z."""
-    z_arr = require_upper(z)
-    Zn, _, _ = solve_Zn_grid(source, n, z_arr)
-    G, _ = as_evaluator(source)
-    out = G(Zn)
+    _, _, out = solve_Zn_grid(source, n, require_upper(z))
     return out if np.ndim(z) else complex(out)
 
 
-def power_reciprocal(source, n: int):
-    """(F, F') callables of the n-fold convolution power, via subordination.
+def power_transform(source, n: int):
+    """(G_n, G_n') of the n-fold convolution power, via subordination.
 
-    F_n = F o Z_n and F_n' = F'(Z_n) / (n - (n-1) F'(Z_n)) by implicit
-    differentiation of the subordination equation.
+    G_n = G o Z_n and G_n' = G'(Z_n) Z_n' with
+    Z_n' = 1 / (n + (n-1) G'(Z_n)/G(Z_n)^2), by implicit differentiation of
+    z = n Z_n - (n-1)/G(Z_n).  Usable wherever a (G, G') source is.
     """
-    F, Fp = reciprocal_pair(source)
+    _, Gp = as_evaluator(source)
 
-    def Fn(z):
-        Zn, _, _ = solve_Zn_grid(source, n, np.asarray(z, dtype=complex))
-        return F(Zn)
+    def Gn(z):
+        return solve_Zn_grid(source, n, np.asarray(z, dtype=complex))[2]
 
-    def Fnp(z):
-        Zn, _, _ = solve_Zn_grid(source, n, np.asarray(z, dtype=complex))
-        fp = Fp(Zn)
-        return fp / (n - (n - 1) * fp)
+    def Gnp(z):
+        Zn, _, g = solve_Zn_grid(source, n, np.asarray(z, dtype=complex))
+        gp = Gp(Zn)
+        return gp / (n + (n - 1) * gp / (g * g))
 
-    return Fn, Fnp
+    return Gn, Gnp
 
 
 def inverse_Zn(source, n: int, z):
     """Explicit inverse of the subordination function: n z - (n-1) F(z)."""
     z = require_upper(z)
-    F, _ = reciprocal_pair(source)
-    out = n * z - (n - 1) * F(z)
+    G, _ = as_evaluator(source)
+    out = n * z - (n - 1) * (1.0 / G(z))
     return out if np.ndim(out) else complex(out)
 
 
 def solve_pair_grid(m1, m2, z, tol: float = 1e-12, max_iter: int = MAX_ITER):
     """Vectorized two-function subordination:
-    z = Z1 + Z2 - F1(Z1) and F1(Z1) = F2(Z2).
+    z = Z1 + Z2 - F1(Z1) and F1(Z1) = F2(Z2); returns (Z1, G1(Z1)).
 
     Z1 is the unknown and Z2 = z - Z1 + F1(Z1), so the first relation holds
     exactly and Im Z2 >= Im z, because Im F1(w) >= Im w.  Newton's method in
@@ -183,71 +175,49 @@ def solve_pair_grid(m1, m2, z, tol: float = 1e-12, max_iter: int = MAX_ITER):
         Z1 = exc.last_iterate
         exc.last_iterate = (Z1, z - Z1 + 1.0 / G1(Z1))
         raise
-    return Z1, z - Z1 + 1.0 / G1(Z1)
+    return Z1, G1(Z1)
 
 
 def solve_pair(m1, m2, z: complex, tol: float = 1e-12,
                max_iter: int = MAX_ITER) -> tuple[complex, complex]:
     """Two-function subordination at a single point; returns (Z1, Z2)."""
     zz = np.asarray(complex(z), dtype=complex)
-    Z1, Z2 = solve_pair_grid(m1, m2, zz, tol=tol, max_iter=max_iter)
-    return complex(Z1), complex(Z2)
+    Z1, g1 = solve_pair_grid(m1, m2, zz, tol=tol, max_iter=max_iter)
+    return complex(Z1), complex(zz - Z1 + 1.0 / g1)
 
 
 def pair_cauchy(m1, m2, z, tol: float = 1e-12):
     """Cauchy transform of m1 boxplus m2 at z (scalar or array)."""
-    G1, _ = as_evaluator(m1)
-    z_arr = np.asarray(z, dtype=complex)
-    Z1, _ = solve_pair_grid(m1, m2, z_arr, tol=tol)
-    out = G1(Z1)
+    _, out = solve_pair_grid(m1, m2, np.asarray(z, dtype=complex), tol=tol)
     return out if np.ndim(z) else complex(out)
 
 
 BISECT_TOL = 1e-10
 
 
-def _poisson_integral(sigma: Measure, x, y):
-    """int sigma(du) / ((u-x)^2 + y^2) for equal-length arrays x and y."""
-    x, y = x[:, None], y[:, None]
-    total = np.zeros(x.shape[0])
-    if sigma.atom_positions.size:
-        total += np.sum(sigma.atom_weights / ((sigma.atom_positions - x) ** 2 + y ** 2),
-                        axis=1)
-    if sigma.grid.size:
-        total += np.trapezoid(sigma.density / ((sigma.grid - x) ** 2 + y ** 2),
-                              sigma.grid, axis=1)
-    return total
-
-
 def boundary_curve(m: Measure, n: int, x):
-    """y_n(x): positive root of (n-1) * int sigma(du)/((u-x)^2 + y^2) = 1.
+    """y_n(x): root in y of (n-1) Im F(x + iy) = n y, with F = 1/G.
 
-    Returns 0 where no positive root exists.  The root is unique because the
-    integral is strictly decreasing in y, and it is bounded by
-    sqrt(sigma(R) (n-1)).  All x are bisected together.
+    Im F(x + iy)/y = 1 + int sigma(du)/((u-x)^2 + y^2) is strictly decreasing
+    in y, so the root is unique; it lies below sqrt(m_2 (n-1)) because sigma
+    has mass m_2.  All x are bisected together, evaluating only the open
+    brackets, and 0 is returned where no positive root exists.
     """
     if n < 2:
         raise ValueError("boundary curve needs n >= 2")
     if abs(m.moment(1)) > 1e-9:
         raise NotCentered("boundary_curve requires a centered measure")
-    sigma = nevanlinna_sigma(m)
-    total = sigma.mass()
+    G, _ = as_evaluator(m)
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    out = np.zeros(xs.shape)
-    if total > 0:
-        with np.errstate(divide="ignore"):
-            I0 = _poisson_integral(sigma, xs, np.zeros(xs.shape))
-        roots = ~((n - 1) * I0 <= 1.0)     # a NaN integral is bisected too
-        xr = xs[roots]
-        lo = np.zeros(xr.shape)
-        hi = np.full(xr.shape, float(np.sqrt(total * (n - 1))))
-        while True:
-            open_ = hi - lo > BISECT_TOL
-            if not np.any(open_):
-                break
-            mid = 0.5 * (lo + hi)
-            above = (n - 1) * _poisson_integral(sigma, xr, mid) > 1.0
-            lo = np.where(open_ & above, mid, lo)
-            hi = np.where(open_ & ~above, mid, hi)
-        out[roots] = 0.5 * (lo + hi)
+    lo = np.zeros(xs.shape)
+    hi = np.full(xs.shape, float(np.sqrt(m.moment(2) * (n - 1))))
+    while True:
+        open_ = np.flatnonzero(hi - lo > BISECT_TOL)
+        if not open_.size:
+            break
+        mid = 0.5 * (lo[open_] + hi[open_])
+        above = (n - 1) * np.imag(1.0 / G(xs[open_] + 1j * mid)) > n * mid
+        lo[open_[above]] = mid[above]
+        hi[open_[~above]] = mid[~above]
+    out = np.where(lo > 0, 0.5 * (lo + hi), 0.0)
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])

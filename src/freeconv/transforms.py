@@ -56,7 +56,7 @@ _LAURENT_ORDER = _laurent_order(_LAURENT_RHO)
 # many elements, which bounds memory and keeps the blocks in cache
 _BLOCK = 1 << 15
 _DOT_CHUNK = 8192
-# newton_invert stops at |F(w) - target| < _NEWTON_TOL * max(1, |target|)
+# newton_invert stops at |1/G(w) - target| < _NEWTON_TOL * max(1, |target|)
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 200
 
@@ -272,37 +272,25 @@ def reciprocal_cauchy(source, z):
     return f if f.shape else complex(f)
 
 
-def reciprocal_pair(source):
-    """(F, F') callables for a source, built from (G, G')."""
-    G, Gp = as_evaluator(source)
-
-    def F(z):
-        return 1.0 / G(z)
-
-    def Fp(z):
-        g = G(z)
-        return -Gp(z) / (g * g)
-
-    return F, Fp
-
-
 def c1_index(source) -> float:
     """c1 = Im(1/G(i)) - 1; zero exactly for a single Dirac atom."""
     f = reciprocal_cauchy(source, 1j)
     return float(np.imag(f)) - 1.0
 
 
-def newton_invert(F, Fp, target, seed):
-    """Solve F(w) = target for w in the upper half plane by damped Newton.
+def newton_invert(G, Gp, target, seed):
+    """Solve 1/G(w) = target for w in the upper half plane by damped Newton.
 
-    target and seed are complex scalars or arrays of one broadcast shape; F and
-    Fp are called on 1-d arrays.  Each point runs its own damped Newton: the
-    step is halved (up to 60 times) until it stays in the upper half plane and
-    lowers |F(w) - target|.  A point converges when that residual is below
-    _NEWTON_TOL * max(1, |target|), and fails after _NEWTON_MAX_ITER steps.
-    A point leaves the batch when it converges or fails, so its iterates do
-    not depend on the other points.  A scalar call returns a complex, an array
-    call an array of the broadcast shape.
+    target and seed are complex scalars or arrays of one broadcast shape; G and
+    Gp are called on 1-d arrays.  F = 1/G and F' = -G'/G^2 are formed from
+    the G kept for each iterate, so G is evaluated once per point visited.
+    Each point runs its own damped Newton: the step is halved (up to 60 times)
+    until it stays in the upper half plane and lowers |F(w) - target|.  A
+    point converges when that residual is below _NEWTON_TOL * max(1,
+    |target|), and fails after _NEWTON_MAX_ITER steps.  A point leaves the
+    batch when it converges or fails, so its iterates do not depend on the
+    other points.  A scalar call returns a complex, an array call an array of
+    the broadcast shape.
 
     Divergence is reported, never silently replaced by a fallback value: once
     every point has finished, InversionDiverged is raised with last_iterate of
@@ -315,14 +303,16 @@ def newton_invert(F, Fp, target, seed):
     t, w = t.ravel(), w.ravel()
     w = np.where(w.imag <= 0, w.real + 1e-3j, w)
     lim = _NEWTON_TOL * np.maximum(1.0, np.abs(t))
-    r = F(w) - t
+    g = np.array(G(w), dtype=complex)
+    r = 1.0 / g - t
     errors = {}                 # index of a failed point -> reason
     act = np.arange(t.size)
     for _ in range(_NEWTON_MAX_ITER):
         act = act[~(np.abs(r[act]) < lim[act])]
         if not act.size:
             break
-        dF = np.broadcast_to(Fp(w[act]), act.shape)
+        ga = g[act]
+        dF = np.broadcast_to(-Gp(w[act]) / (ga * ga), act.shape)
         zero = dF == 0
         errors.update(dict.fromkeys(act[zero].tolist(), "Newton derivative vanished"))
         act, dF = act[~zero], dF[~zero]
@@ -334,10 +324,12 @@ def newton_invert(F, Fp, target, seed):
             w_new = w[todo] - lam * step
             up = np.flatnonzero(w_new.imag > 0)
             if up.size:
-                r_new = F(w_new[up]) - t[todo[up]]
+                g_new = G(w_new[up])
+                r_new = 1.0 / g_new - t[todo[up]]
                 ok = np.abs(r_new) < np.abs(r[todo[up]])
                 done = up[ok]
-                w[todo[done]], r[todo[done]] = w_new[done], r_new[ok]
+                acc = todo[done]
+                w[acc], g[acc], r[acc] = w_new[done], g_new[ok], r_new[ok]
                 keep = np.ones(todo.size, dtype=bool)
                 keep[done] = False
                 todo, step = todo[keep], step[keep]
@@ -359,16 +351,10 @@ def newton_invert(F, Fp, target, seed):
     return last
 
 
-def voiculescu_from(F, Fp, z: complex) -> complex:
-    """phi(z) = F^(-1)(z) - z via verified Newton inversion of F, seeded at z."""
-    z = complex(require_upper(z))
-    return newton_invert(F, Fp, z, z) - z
-
-
 def voiculescu(source, z: complex) -> complex:
-    """Voiculescu transform of a measure at an admissible point z."""
-    F, Fp = reciprocal_pair(source)
-    phi = voiculescu_from(F, Fp, z)
+    """phi(z) = F^(-1)(z) - z by verified Newton inversion of F, seeded at z."""
+    z = complex(require_upper(z))
+    phi = newton_invert(*as_evaluator(source), z, z) - z
     if phi.imag > 1e-8:
         raise InversionDiverged(
             f"inverse landed off the Voiculescu branch (Im phi = {phi.imag:.3e})",
@@ -394,11 +380,11 @@ def nevanlinna_sigma(m: Measure) -> Measure:
         hi = max(hi, float(m.atom_positions.max()))
     xs = np.linspace(lo - 1.0, hi + 1.0, 2001)
     eta1, eta2 = 0.02, 0.01
-    F, _ = reciprocal_pair(m)
+    G, _ = as_evaluator(m)
 
     def dens_at(eta):
         z = xs + 1j * eta
-        g = z - F(z)          # Cauchy transform of sigma
+        g = z - 1.0 / G(z)    # Cauchy transform of sigma
         return np.maximum(-g.imag / np.pi, 0.0)
 
     d1, d2 = dens_at(eta1), dens_at(eta2)

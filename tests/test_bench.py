@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freeconv import idlaws
+from freeconv import bench, idlaws, transforms
 from freeconv.bench import (ExperimentConfig, RateReport, fit_loglog_slope,
                             run_rate_experiment)
 from freeconv.errors import NotNormalized, ScheduleTooShort
@@ -14,12 +14,15 @@ class TestExperimentConfig:
             ExperimentConfig(bernoulli_measure(), (8, 4))
         with pytest.raises(ValueError):
             ExperimentConfig(bernoulli_measure(), (4,))
+        for ns in ((0, 4, 8), (-2, 4, 8)):       # and must be positive
+            with pytest.raises(ValueError):
+                ExperimentConfig(bernoulli_measure(), ns)
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(bernoulli_measure(), (2, 4), grid=(-4, 4, 50))
-        with pytest.raises(ValueError):
-            ExperimentConfig(bernoulli_measure(), (2, 4), grid=(4, -4, 201))
+        for grid in ((-4, 4, 50), (4, -4, 201), (-4, float("nan"), 201),
+                     (float("-inf"), 4, 201)):
+            with pytest.raises(ValueError):
+                ExperimentConfig(bernoulli_measure(), (2, 4), grid=grid)
 
     @pytest.mark.parametrize("eta", [(0.01,), (float("inf"), 0.01),
                                      (0.02, float("nan")), (0.01, 0.02),
@@ -77,15 +80,49 @@ class TestRateExperiment:
         b = run_rate_experiment(cfg).to_csv()
         assert a == b
 
-    def test_single_thread_env(self, monkeypatch):
-        monkeypatch.setenv("FREECONV_THREADS", "1")
-        cfg = ExperimentConfig(bernoulli_measure(), (4, 8))
-        report = run_rate_experiment(cfg)
-        assert len(report.rows) == 2
-
     def test_upper_envelope_constant(self):
         # distances stay below c / sqrt(n) with a small fitted constant
         cfg = ExperimentConfig(bernoulli_measure(), (4, 16, 64, 256))
         report = run_rate_experiment(cfg)
         c = max(d * np.sqrt(n) for n, _, d in report.rows)
         assert c < 10
+
+
+class TestCdfPipeline:
+    """power_cdf and pair_cdf take G at the subordinator from the solver."""
+
+    XS = np.linspace(-3.0, 3.0, 101)
+
+    @staticmethod
+    def _record(monkeypatch, solver):
+        """Record every point array passed to G and every solved subordinator."""
+        points, solved = [], []
+        G, solve = transforms.measure_cauchy, getattr(bench, solver)
+
+        def recorded_G(m, z):
+            points.append(np.array(z))
+            return G(m, z)
+
+        def recorded_solve(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            solved.append(out[0])
+            return out
+
+        monkeypatch.setattr(transforms, "measure_cauchy", recorded_G)
+        monkeypatch.setattr(bench, solver, recorded_solve)
+        return points, solved
+
+    def test_power_cdf_evaluates_Zn_once(self, monkeypatch):
+        points, solved = self._record(monkeypatch, "solve_Zn_grid")
+        bench.power_cdf(semicircle_measure(101).dilate(2), 4, self.XS)
+        assert solved
+        for Zn in solved:
+            assert sum(np.array_equal(p, Zn) for p in points) == 1
+
+    def test_pair_cdf_evaluates_Z1_once(self, monkeypatch):
+        points, solved = self._record(monkeypatch, "solve_pair_grid")
+        bench.pair_cdf(semicircle_measure(101),
+                       make_atomic([(-0.5, 0.8), (2.0, 0.2)]), self.XS)
+        assert solved
+        for Z1 in solved:
+            assert sum(np.array_equal(p, Z1) for p in points) == 1

@@ -43,6 +43,14 @@ class TestMoments:
     def test_missing_file(self, capsys):
         assert main(["moments", "no-such-file.json"]) == 1
 
+    def test_nan_density_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"density": {"grid": [-1.0, 0.0, 1.0],
+                                                "values": [0.0, float("nan"), 0.0]}}))
+        assert main(["moments", str(path)]) == 1
+        assert main(["idcheck", str(path)]) == 1
+        assert capsys.readouterr().out == ""
+
 
 class TestCumulants:
     def test_semicircle(self, semicircle_file, capsys):
@@ -208,6 +216,20 @@ class TestRates:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "eta schedule" in captured.err
+
+
+    @pytest.mark.parametrize("field, value", [("grid", [-4.0, float("nan"), 201]),
+                                              ("n_values", [0, 4, 8]),
+                                              ("n_values", [-2, 4, 8])],
+                             ids=["nan_bound", "zero_n", "negative_n"])
+    def test_bad_config_is_input_error(self, tmp_path, field, value, capsys):
+        cfg = {"measure": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]},
+               "n_values": [4, 8]}
+        cfg[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["rates", str(path)]) == 1
+        assert capsys.readouterr().out == ""
 
 
 def test_unknown_command_is_usage_error():

@@ -10,8 +10,7 @@ from freeconv.idlaws import (FamilySpec, family_cauchy, family_measure,
 from freeconv.inversion import stieltjes_cdf
 from freeconv import measures
 from freeconv.measures import bernoulli_measure, make_atomic
-from freeconv.subordination import solve_Zn_grid
-from freeconv.transforms import reciprocal_pair
+from freeconv.subordination import power_transform
 
 
 class TestFamilySpec:
@@ -218,19 +217,6 @@ class TestIdVerdicts:
 
     def test_power_closure(self):
         # the 2-fold free convolution power of w_1 stays divisible
-        spec = meixner_w(1.0)
-        G, Gp = family_transform(spec)
-        _, Fp = reciprocal_pair(spec)
-
-        def G2(z):
-            Zn, _, _ = solve_Zn_grid(spec, 2, np.asarray(z, dtype=complex),
-                                     tol=1e-10)
-            return np.asarray(G(Zn))
-
-        def G2p(z):
-            Zn, _, _ = solve_Zn_grid(spec, 2, np.asarray(z, dtype=complex),
-                                     tol=1e-10)
-            return np.asarray(Gp(Zn)) / (2 - Fp(Zn))
-
         grid = tuple(np.geomspace(200.0, 2.5, 80))
-        assert is_free_id_sampled((G2, G2p), depth_grid=grid).passes
+        assert is_free_id_sampled(power_transform(meixner_w(1.0), 2),
+                                  depth_grid=grid).passes

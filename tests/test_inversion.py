@@ -129,6 +129,11 @@ class TestStieltjesCdf:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             stieltjes_cdf(lambda z: 1 / z, np.array([1.0, 0.0]), (0.1, 0.05))
+        for bad in (np.nan, np.inf):
+            xs = np.linspace(-1, 1, 11)
+            xs[5] = bad
+            with pytest.raises(ValueError, match="finite"):
+                stieltjes_cdf(lambda z: 1 / z, xs, (0.1, 0.05))
 
     def test_mass_deficit_warns(self):
         G, _ = idlaws.family_transform(idlaws.semicircle())

@@ -71,6 +71,16 @@ class TestFromDensity:
         with pytest.raises(ValueError):
             Measure(grid=np.array([0.0, 1.0]), density=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("grid, dens", [([0.0, 0.5, 1.0], [1.0, np.nan, 1.0]),
+                                            ([0.0, np.nan, 1.0], [1.0, 1.0, 1.0]),
+                                            ([0.0, 0.5, np.inf], [1.0, 1.0, 1.0])],
+                             ids=["nan_density", "nan_grid", "inf_grid"])
+    def test_non_finite_rejected(self, grid, dens):
+        with pytest.raises(ValueError):
+            Measure(grid=np.array(grid), density=np.array(dens))
+        with pytest.raises(ValueError):
+            from_density(grid, dens)
+
 
 # -- functionals -------------------------------------------------------------
 

@@ -86,18 +86,18 @@ class TestNewton:
 
     def test_pair_independent_of_batch(self):
         m1, m2 = semicircle_measure(201), make_atomic([(-0.5, 0.8), (2.0, 0.2)])
-        Z1, Z2 = solve_pair_grid(m1, m2, self.Z)
+        Z1, g1 = solve_pair_grid(m1, m2, self.Z)
         for i in range(0, self.Z.size, 10):
-            a1, a2 = solve_pair_grid(m1, m2, self.Z[i:i + 1])
-            assert a1[0] == Z1[i] and a2[0] == Z2[i]
+            a1, b1 = solve_pair_grid(m1, m2, self.Z[i:i + 1])
+            assert a1[0] == Z1[i] and b1[0] == g1[i]
 
     def test_large_n_converges_fast(self):
         # the self-map contracts at rate about 1 - 2/n: ~700 steps here
         m, n = bernoulli_measure().dilate(64), 4096
         z = np.linspace(-4, 4, 2001) + 0.01j
-        _, its, res = solve_Zn_grid(m, n, z, tol=1e-9)
+        Zn, its, g = solve_Zn_grid(m, n, z, tol=1e-9)
         assert its <= 12
-        assert np.max(res) <= 1e-10
+        assert np.max(np.abs(z - n * Zn + (n - 1) / g)) <= 1e-10
 
     def test_Zn_fallback_without_derivative(self, monkeypatch):
         m = bernoulli_measure()
@@ -262,6 +262,20 @@ class TestBoundaryCurve:
     def test_requires_centered(self):
         with pytest.raises(NotCentered):
             boundary_curve(delta(1.0), 3, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 5, 50])
+    def test_semicircle_grid_matches_closed_form(self, n):
+        # reference: the same root, bisected on the closed-form semicircle F
+        G, _ = idlaws.family_transform(SEMI)
+        xs = np.linspace(-np.sqrt(n) - 1, np.sqrt(n) + 1, 101)
+        lo, hi = np.zeros(xs.shape), np.full(xs.shape, np.sqrt(n - 1.0))
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            above = (n - 1) * np.imag(1.0 / G(xs + 1j * mid)) > n * mid
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        ref = np.where(lo > 0, 0.5 * (lo + hi), 0.0)
+        got = boundary_curve(semicircle_measure(4001), n, xs)
+        assert np.max(np.abs(got - ref)) < 1e-5
 
     @pytest.mark.parametrize("n", [4, 25])
     def test_subordination_image_stays_above_curve(self, n):

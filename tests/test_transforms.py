@@ -17,10 +17,10 @@ from freeconv.inversion import kolmogorov, measure_to_cdf
 from freeconv.measures import (bernoulli_measure, from_density, make_atomic,
                                semicircle_measure)
 from freeconv.ncpart import moments_to_cumulants
-from freeconv.transforms import (c1_index, cauchy, measure_cauchy,
-                                 measure_cauchy_prime, nevanlinna_sigma,
-                                 newton_invert, reciprocal_cauchy,
-                                 reciprocal_pair, voiculescu)
+from freeconv.transforms import (as_evaluator, c1_index, cauchy,
+                                 measure_cauchy, measure_cauchy_prime,
+                                 nevanlinna_sigma, newton_invert,
+                                 reciprocal_cauchy, voiculescu)
 
 GOLDEN = (np.sqrt(5) - 1) / 2          # Im of -G_semicircle(i)
 
@@ -152,51 +152,67 @@ class TestVoiculescu:
             voiculescu(bernoulli_measure(), 0.05j)
 
 
+def _bounded_pair():
+    """(G, G') with F = 1/G = i|w|/(1 + |w|), bounded, and F' taken as 1."""
+    def G(w):
+        return (1 + abs(w)) / (1j * abs(w))
+
+    def Gp(w):
+        return -G(w) ** 2
+
+    return G, Gp
+
+
 class TestNewtonInvert:
     def test_solves_simple(self):
-        F, Fp = reciprocal_pair(delta(1.0))
-        w = newton_invert(F, Fp, 5j, 5j)
-        assert F(w) == pytest.approx(5j, abs=1e-9)
+        G, Gp = as_evaluator(delta(1.0))
+        w = newton_invert(G, Gp, 5j, 5j)
+        assert 1.0 / G(w) == pytest.approx(5j, abs=1e-9)
 
     def test_reports_divergence(self):
-        def F(w):
-            return 1j * abs(w) / (1 + abs(w))      # bounded: 5j unreachable
-
-        def Fp(w):
-            return 1.0
-
         with pytest.raises(InversionDiverged):
-            newton_invert(F, Fp, 5j, 1j)
+            newton_invert(*_bounded_pair(), 5j, 1j)      # 5j is unreachable
 
     @pytest.mark.parametrize("m", [semicircle_measure(201), bernoulli_measure()],
                              ids=["semicircle201", "bernoulli"])
     def test_batch_equals_scalar_solves(self, m):
-        F, Fp = reciprocal_pair(m)
+        G, Gp = as_evaluator(m)
         targets = np.linspace(-2.0, 2.0, 9) + 3j
         seeds = targets + 0.5
-        batch = newton_invert(F, Fp, targets, seeds)
+        batch = newton_invert(G, Gp, targets, seeds)
         assert batch.shape == targets.shape
         for t, s, w in zip(targets, seeds, batch):
-            one = newton_invert(F, Fp, complex(t), complex(s))
+            one = newton_invert(G, Gp, complex(t), complex(s))
             assert type(one) is complex
             assert one == w       # bit for bit
 
     def test_batch_reports_divergence_once(self):
-        def F(w):
-            return 1j * abs(w) / (1 + abs(w))      # bounded: 5j unreachable
-
-        def Fp(w):
-            return 1.0
-
+        G, Gp = _bounded_pair()
         targets = np.array([0.25j, 5j, 0.5j, 0.1j])
         seeds = np.array([0.5j, 1j, 1j, 0.5j])
         with pytest.raises(InversionDiverged) as info:
-            newton_invert(F, Fp, targets, seeds)
+            newton_invert(G, Gp, targets, seeds)
         exc = info.value
         assert exc.failed.tolist() == [False, True, False, False]
         assert exc.last_iterate.shape == targets.shape
         ok = ~exc.failed
-        assert np.all(np.abs(F(exc.last_iterate[ok]) - targets[ok]) < 1e-10)
+        assert np.all(np.abs(1.0 / G(exc.last_iterate[ok]) - targets[ok]) < 1e-10)
+
+    def test_G_evaluated_once_per_point(self):
+        # F' is formed from the G kept for each accepted iterate
+        m = semicircle_measure(201)
+        G, Gp = as_evaluator(m)
+        seen = []
+
+        def recorded(w):
+            seen.extend(np.asarray(w).tolist())
+            return G(w)
+
+        targets = np.linspace(-2.0, 2.0, 9) + 3j
+        w = newton_invert(recorded, Gp, targets, targets + 0.5)
+        assert np.all(np.abs(1.0 / G(w) - targets) < 1e-9)
+        assert len(seen) > targets.size
+        assert len(set(seen)) == len(seen)
 
     def test_idcheck_makes_one_call_per_depth(self, monkeypatch):
         from freeconv import idlaws
@@ -409,13 +425,12 @@ def test_rates_csv_independent_of_thread_counts(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     src = str(Path(freeconv.__file__).resolve().parents[1])
     outputs = set()
-    for threads in ("1", "2"):
-        for blas in ("1", "2"):
-            env = dict(os.environ, FREECONV_THREADS=threads, OPENBLAS_NUM_THREADS=blas,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            out = subprocess.run([sys.executable, "-m", "freeconv.cli", "rates",
-                                  str(tmp_path / "cfg.json")],
-                                 env=env, capture_output=True, text=True, check=True)
-            outputs.add(out.stdout)
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-m", "freeconv.cli", "rates",
+                              str(tmp_path / "cfg.json")],
+                             env=env, capture_output=True, text=True, check=True)
+        outputs.add(out.stdout)
     assert len(outputs) == 1
     assert outputs.pop().startswith("n,a_n,distance\n2,")
