@@ -207,10 +207,10 @@ def is_free_id_sampled(source, depth_grid=None, width: float = 2.0,
         raise ValueError("x_samples must be at least 1")
     if not (np.isfinite(width) and width >= 0):
         raise ValueError("width must be finite and non-negative")
-    G, Gp = as_evaluator(source)
+    G_with_prime = as_evaluator(source).G_with_prime
     y_top = depth[0]
     try:
-        w_top = newton_invert(G, Gp, 1j * y_top, 1j * y_top)
+        w_top = newton_invert(G_with_prime, 1j * y_top, 1j * y_top)
     except InversionDiverged:
         return IdVerdict("continuation_broken", 1j * y_top, "no inverse at the top")
     if abs(w_top - 1j * y_top) / y_top >= 0.01:
@@ -222,7 +222,7 @@ def is_free_id_sampled(source, depth_grid=None, width: float = 2.0,
         z = x + 1j * y
         seed = z + phis[-1] if phis else z
         try:
-            w = newton_invert(G, Gp, z, seed)
+            w = newton_invert(G_with_prime, z, seed)
             diverged = np.zeros(x.size, dtype=bool)
         except InversionDiverged as exc:
             w, diverged = exc.last_iterate, exc.failed

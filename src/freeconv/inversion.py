@@ -148,8 +148,9 @@ def _extrapolation_weights(schedule):
     return np.linalg.solve(V.T, e0), len(schedule) - etas.size
 
 
-def _interval_masses(g, xs, eta, row, refine=None):
-    """Interval masses at one eta level; row holds g(xs + i eta)."""
+def _interval_masses(g, xs, eta, row):
+    """Interval masses at one eta level, and the mask of the cells refined;
+    row holds g(xs + i eta)."""
     dens = np.maximum(-np.imag(row) / np.pi, 0.0)
     h = np.diff(xs)
     masses = 0.5 * h * (dens[:-1] + dens[1:])
@@ -158,21 +159,23 @@ def _interval_masses(g, xs, eta, row, refine=None):
     # aliasing error largely cancels the smoothing bias itself.  Cells WIDER
     # than eta can hide structure between the nodes (smoothed atoms, density
     # edges), so those are re-integrated when the endpoint densities differ
-    # strongly; caller-flagged cells are always re-integrated.
+    # strongly.
     lo = np.minimum(dens[:-1], dens[1:])
     hi = np.maximum(dens[:-1], dens[1:])
     floor = 1e-9 * float(dens.max(initial=0.0))
     flagged = (hi - lo > CELL_VARIATION * lo + floor) & (h > eta)
-    if refine is not None:
-        flagged[refine] = True
-    idx = np.nonzero(flagged)[0]
+    _refine_cells(g, xs, eta, masses, np.nonzero(flagged)[0])
+    return masses, flagged
+
+
+def _refine_cells(g, xs, eta, masses, idx):
+    """Re-integrate the cells idx at level eta on a subgrid, into masses."""
     if idx.size:
         t = np.linspace(0.0, 1.0, REFINE_FACTOR + 1)
         sub = xs[idx, None] + np.diff(xs)[idx, None] * t
         dsub = np.maximum(-np.imag(g(sub.ravel() + 1j * eta)) / np.pi, 0.0)
         dsub = dsub.reshape(sub.shape)
         masses[idx] = np.trapezoid(dsub, sub, axis=1)
-    return masses
 
 
 def _detect_atoms(g, xs, eta, row):
@@ -258,13 +261,14 @@ def stieltjes_cdf(g, xs, eta_schedule=(0.04, 0.02, 0.01)) -> CdfTable:
         row_min = remove_atoms(z_min, row_min)
     rows = [gc(xs + 1j * eta) for eta in used[:-1]] + [row_min]
     per_eta = [_interval_masses(gc, xs, eta, row) for eta, row in zip(used, rows)]
-    masses = sum(w * m for w, m in zip(weights, per_eta))
-    # concentrated cells get a refined re-integration at every used level
+    masses = sum(w * m for w, (m, _) in zip(weights, per_eta))
+    # concentrated cells get a refined re-integration at every used level;
+    # the cells a level has refined already keep their masses
     refine = np.nonzero(masses > ATOM_CELL_THRESHOLD)[0]
     if refine.size:
-        per_eta = [_interval_masses(gc, xs, eta, row, refine=refine)
-                   for eta, row in zip(used, rows)]
-        masses = sum(w * m for w, m in zip(weights, per_eta))
+        for eta, (m, refined) in zip(used, per_eta):
+            _refine_cells(gc, xs, eta, m, refine[~refined[refine]])
+        masses = sum(w * m for w, (m, _) in zip(weights, per_eta))
     masses = np.maximum(masses, 0.0)
     cont = np.concatenate(([0.0], np.cumsum(masses)))   # mass strictly below node k
     values = cont + np.cumsum(jumps)                    # F(x_k+)

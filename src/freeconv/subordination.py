@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FixedPointDiverged, NotCentered
 from .measures import Measure
-from .transforms import as_evaluator, require_upper
+from .transforms import Evaluator, as_evaluator, require_upper
 
 MAX_ITER = 10_000
 
@@ -72,7 +72,7 @@ def solve_Zn_grid(source, n: int, z, tol: float = 1e-12,
     z = require_upper(z)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    G, Gp = as_evaluator(source)
+    G, G_with_prime = as_evaluator(source)
     if n == 1:
         zz = np.array(z, dtype=complex)
         return zz, 0, G(zz)
@@ -80,8 +80,8 @@ def solve_Zn_grid(source, n: int, z, tol: float = 1e-12,
     eps = np.finfo(float).eps
 
     def step(w, z):
-        g = G(w)
-        f, fp = 1.0 / g, -Gp(w) / (g * g)
+        g, gp = G_with_prime(w)
+        f, fp = 1.0 / g, -gp / (g * g)
         fixed = z / n + c * f
         d = fixed - w                     # n * d = -H(w)
         size = np.abs(d)
@@ -114,24 +114,25 @@ def power_cauchy(source, n: int, z):
     return out if np.ndim(z) else complex(out)
 
 
-def power_transform(source, n: int):
-    """(G_n, G_n') of the n-fold convolution power, via subordination.
+def power_transform(source, n: int) -> Evaluator:
+    """Evaluator of the n-fold convolution power, via subordination.
 
     G_n = G o Z_n and G_n' = G'(Z_n) Z_n' with
     Z_n' = 1 / (n + (n-1) G'(Z_n)/G(Z_n)^2), by implicit differentiation of
-    z = n Z_n - (n-1)/G(Z_n).  Usable wherever a (G, G') source is.
+    z = n Z_n - (n-1)/G(Z_n).  Both come from one solve for Z_n.  Usable
+    wherever a transform source is.
     """
-    _, Gp = as_evaluator(source)
+    G_with_prime = as_evaluator(source).G_with_prime
 
     def Gn(z):
         return solve_Zn_grid(source, n, np.asarray(z, dtype=complex))[2]
 
-    def Gnp(z):
-        Zn, _, g = solve_Zn_grid(source, n, np.asarray(z, dtype=complex))
-        gp = Gp(Zn)
-        return gp / (n + (n - 1) * gp / (g * g))
+    def Gn_with_prime(z):
+        Zn = solve_Zn_grid(source, n, np.asarray(z, dtype=complex))[0]
+        g, gp = G_with_prime(Zn)
+        return g, gp / (n + (n - 1) * gp / (g * g))
 
-    return Gn, Gnp
+    return Evaluator(Gn, Gn_with_prime)
 
 
 def inverse_Zn(source, n: int, z):
@@ -153,15 +154,15 @@ def solve_pair_grid(m1, m2, z, tol: float = 1e-12, max_iter: int = MAX_ITER):
     relation, is the convergence criterion.
     """
     z = require_upper(z)
-    G1, G1p = as_evaluator(m1)
-    G2, G2p = as_evaluator(m2)
+    G1, G1_with_prime = as_evaluator(m1)
+    G2_with_prime = as_evaluator(m2).G_with_prime
 
     def step(Z1, z):
-        g1 = G1(Z1)
-        f1, f1p = 1.0 / g1, -G1p(Z1) / (g1 * g1)
+        g1, g1p = G1_with_prime(Z1)
+        f1, f1p = 1.0 / g1, -g1p / (g1 * g1)
         Z2 = z - Z1 + f1
-        g2 = G2(Z2)
-        f2, f2p = 1.0 / g2, -G2p(Z2) / (g2 * g2)
+        g2, g2p = G2_with_prime(Z2)
+        f2, f2p = 1.0 / g2, -g2p / (g2 * g2)
         phi = f1 - f2
         r = np.abs(phi)
         scale = np.maximum(1.0, np.maximum(np.abs(Z1), np.abs(Z2)))
@@ -201,7 +202,8 @@ def boundary_curve(m: Measure, n: int, x):
     Im F(x + iy)/y = 1 + int sigma(du)/((u-x)^2 + y^2) is strictly decreasing
     in y, so the root is unique; it lies below sqrt(m_2 (n-1)) because sigma
     has mass m_2.  All x are bisected together, evaluating only the open
-    brackets, and 0 is returned where no positive root exists.
+    brackets, and 0 is returned where no positive root exists.  Non-finite
+    x raises ValueError.
     """
     if n < 2:
         raise ValueError("boundary curve needs n >= 2")
@@ -209,6 +211,8 @@ def boundary_curve(m: Measure, n: int, x):
         raise NotCentered("boundary_curve requires a centered measure")
     G, _ = as_evaluator(m)
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("boundary curve points must be finite")
     lo = np.zeros(xs.shape)
     hi = np.full(xs.shape, float(np.sqrt(m.moment(2) * (n - 1))))
     while True:

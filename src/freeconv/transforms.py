@@ -8,6 +8,8 @@ complex arrays with positive imaginary part.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .errors import (CauchyVanishes, InversionDiverged, NotCentered,
@@ -133,9 +135,14 @@ class _DensityKernel:
             nu[k] = np.sum(h * (v0 * P + v1 * Q)) / ((k + 1) * (k + 2))
         return nu
 
-    def __call__(self, z, order: int):
-        """G (order 0) or G' (order 1) of the density at a 1-d array z."""
-        out = np.empty(z.shape, dtype=complex)
+    def __call__(self, z, orders):
+        """G (order 0) and G' (order 1) of the density at a 1-d array z.
+
+        Returns one array per entry of orders.  Each block of points builds
+        its distances, near-segment logarithms and Laurent powers once, and
+        every order is summed from them.
+        """
+        out = [np.empty(z.shape, dtype=complex) for _ in orders]
         far = np.abs(z - self.center) > _LAURENT_RHO * self.radius
         for idx, step, fn in ((np.nonzero(far)[0], _BLOCK // (_LAURENT_ORDER + 1),
                                self._laurent),
@@ -144,19 +151,23 @@ class _DensityKernel:
             step = max(step, 1)
             for s in range(0, idx.size, step):
                 b = idx[s:s + step]
-                out[b] = fn(z[b], order)
+                for o, v in zip(out, fn(z[b], orders)):
+                    o[b] = v
         return out
 
-    def _laurent(self, z, order):
+    def _laurent(self, z, orders):
         u = z - self.center
         w = np.empty((u.size, _LAURENT_ORDER + 1), dtype=complex)
         w[:, 0] = 1.0
         w[:, 1:] = (self.radius / u)[:, None]
         np.cumprod(w, axis=1, out=w)
-        s = _rowdot(w, self.series[order])
-        return s / u if order == 0 else s / (u * u)
+        out = []
+        for order in orders:
+            s = _rowdot(w, self.series[order])
+            out.append(s / u if order == 0 else s / (u * u))
+        return out
 
-    def _direct(self, z, order):
+    def _direct(self, z, orders):
         x, y = z.real, z.imag
         y2 = (y * y)[:, None]
         dm = x[:, None] - self.tm
@@ -173,9 +184,6 @@ class _DensityKernel:
         np.reciprocal(r, out=r)
         r.reshape(z.size, self.size, _GL_NODES.size)[i, j] = 0.0
         dx *= r
-        wts = self.weights[order]
-        re = _rowdot(dx, wts)
-        im = -y * _rowdot(r, wts)
         # near segments: L = log((z - t0)/(z - t1)), exactly
         xi, yi, h = x[i], y[i], self.h[j]
         dx0, dx1 = xi - self.t0[j], xi - self.t1[j]
@@ -183,18 +191,24 @@ class _DensityKernel:
         Lr = 0.5 * np.log((dx0 * dx0 + yy) / (dx1 * dx1 + yy))
         Li = np.arctan2(-yi * h, dx0 * dx1 + yy)
         d = self.d[j]
-        if order == 0:
-            # int (v0 + d (t - t0))/(z - t) dt = (v0 + d (z - t0)) L - (v1 - v0)
-            a, b = self.v0[j] + d * dx0, d * yi
-            near_re, near_im = a * Lr - b * Li - self.dv[j], a * Li + b * Lr
-        else:
-            near_re, near_im = d * Lr, d * Li
-        re += np.bincount(i, near_re, minlength=z.size)
-        im += np.bincount(i, near_im, minlength=z.size)
-        out = re + 1j * im
-        if order == 1:
-            for t, s in self.jumps:
-                out += s / (z - t)
+        out = []
+        for order in orders:
+            wts = self.weights[order]
+            re = _rowdot(dx, wts)
+            im = -y * _rowdot(r, wts)
+            if order == 0:
+                # int (v0 + d (t - t0))/(z - t) dt = (v0 + d (z - t0)) L - (v1 - v0)
+                a, b = self.v0[j] + d * dx0, d * yi
+                near_re, near_im = a * Lr - b * Li - self.dv[j], a * Li + b * Lr
+            else:
+                near_re, near_im = d * Lr, d * Li
+            re += np.bincount(i, near_re, minlength=z.size)
+            im += np.bincount(i, near_im, minlength=z.size)
+            val = re + 1j * im
+            if order == 1:
+                for t, s in self.jumps:
+                    val += s / (z - t)
+            out.append(val)
         return out
 
 
@@ -207,47 +221,76 @@ def _density_kernel(m: Measure) -> _DensityKernel:
     return kernel
 
 
-def _measure_transform(m: Measure, z, order: int):
-    """G (order 0) or G' (order 1): atoms summed directly, density by kernel."""
+def _measure_transform(m: Measure, z, orders):
+    """G (order 0) and G' (order 1), one value per entry of orders, from one
+    pass: atoms summed directly, density by kernel."""
     z = np.asarray(z, dtype=complex)
-    val = np.zeros(z.shape, dtype=complex)
+    vals = [np.zeros(z.shape, dtype=complex) for _ in orders]
     if m.atom_positions.size:
-        zz = z[..., None]
-        if order == 0:
-            val += np.sum(m.atom_weights / (zz - m.atom_positions), axis=-1)
-        else:
-            val -= np.sum(m.atom_weights / (zz - m.atom_positions) ** 2, axis=-1)
+        dz = z[..., None] - m.atom_positions
+        for val, order in zip(vals, orders):
+            if order == 0:
+                val += np.sum(m.atom_weights / dz, axis=-1)
+            else:
+                val -= np.sum(m.atom_weights / dz ** 2, axis=-1)
     if m.grid.size:
         kernel = _density_kernel(m)
         if kernel.size:
-            val += kernel(z.ravel(), order).reshape(z.shape)
-    return val if val.shape else complex(val)
+            for val, part in zip(vals, kernel(z.ravel(), orders)):
+                val += part.reshape(z.shape)
+    return [val if val.shape else complex(val) for val in vals]
 
 
 def measure_cauchy(m: Measure, z):
     """G(z) = integral of 1/(z-t), to machine precision per atom and segment."""
-    return _measure_transform(m, z, 0)
+    return _measure_transform(m, z, (0,))[0]
 
 
 def measure_cauchy_prime(m: Measure, z):
     """G'(z) = -integral of 1/(z-t)^2."""
-    return _measure_transform(m, z, 1)
+    return _measure_transform(m, z, (1,))[0]
 
 
-def as_evaluator(source):
-    """Normalize a transform source to a (G, G') pair of callables.
+def measure_cauchy_with_prime(m: Measure, z):
+    """(G(z), G'(z)) from one pass; bit for bit measure_cauchy and
+    measure_cauchy_prime."""
+    return tuple(_measure_transform(m, z, (0, 1)))
 
-    Accepts a Measure, an idlaws.FamilySpec, or an explicit (G, G') pair.
+
+class Evaluator(NamedTuple):
+    """A law read through its Cauchy transform.
+
+    G(z) alone, for callers that need G only, and G_with_prime(z) ->
+    (G(z), G'(z)) from one pass, for callers that form F = 1/G and
+    F' = -G'/G^2 at the same points.
     """
-    if isinstance(source, Measure):
-        return (lambda z: measure_cauchy(source, z),
-                lambda z: measure_cauchy_prime(source, z))
-    if isinstance(source, tuple) and len(source) == 2 and callable(source[0]):
+
+    G: Callable
+    G_with_prime: Callable
+
+
+def _wrap_pair(G, Gp) -> Evaluator:
+    """Evaluator of separate G and G' callables, which it calls in turn."""
+    return Evaluator(G, lambda z: (G(z), Gp(z)))
+
+
+def as_evaluator(source) -> Evaluator:
+    """Normalize a transform source to an Evaluator.
+
+    Accepts an Evaluator, a Measure, an idlaws.FamilySpec, or an explicit
+    (G, G') pair of callables.
+    """
+    if isinstance(source, Evaluator):
         return source
+    if isinstance(source, Measure):
+        return Evaluator(lambda z: measure_cauchy(source, z),
+                         lambda z: measure_cauchy_with_prime(source, z))
+    if isinstance(source, tuple) and len(source) == 2 and callable(source[0]):
+        return _wrap_pair(*source)
     from . import idlaws
 
     if isinstance(source, idlaws.FamilySpec):
-        return idlaws.family_transform(source)
+        return _wrap_pair(*idlaws.family_transform(source))
     raise TypeError(f"cannot interpret {source!r} as a transform source")
 
 
@@ -278,19 +321,20 @@ def c1_index(source) -> float:
     return float(np.imag(f)) - 1.0
 
 
-def newton_invert(G, Gp, target, seed):
+def newton_invert(G_with_prime, target, seed):
     """Solve 1/G(w) = target for w in the upper half plane by damped Newton.
 
-    target and seed are complex scalars or arrays of one broadcast shape; G and
-    Gp are called on 1-d arrays.  F = 1/G and F' = -G'/G^2 are formed from
-    the G kept for each iterate, so G is evaluated once per point visited.
-    Each point runs its own damped Newton: the step is halved (up to 60 times)
-    until it stays in the upper half plane and lowers |F(w) - target|.  A
-    point converges when that residual is below _NEWTON_TOL * max(1,
-    |target|), and fails after _NEWTON_MAX_ITER steps.  A point leaves the
-    batch when it converges or fails, so its iterates do not depend on the
-    other points.  A scalar call returns a complex, an array call an array of
-    the broadcast shape.
+    target and seed are complex scalars or arrays of one broadcast shape;
+    G_with_prime is called on 1-d arrays and returns (G, G') there, from one
+    pass (an Evaluator's G_with_prime).  F = 1/G and F' = -G'/G^2 are formed
+    from the G and G' kept for each iterate, so each point visited is
+    evaluated once.  Each point runs its own damped Newton: the step is
+    halved (up to 60 times) until it stays in the upper half plane and lowers
+    |F(w) - target|.  A point converges when that residual is below
+    _NEWTON_TOL * max(1, |target|), and fails after _NEWTON_MAX_ITER steps.
+    A point leaves the batch when it converges or fails, so its iterates do
+    not depend on the other points.  A scalar call returns a complex, an
+    array call an array of the broadcast shape.
 
     Divergence is reported, never silently replaced by a fallback value: once
     every point has finished, InversionDiverged is raised with last_iterate of
@@ -303,7 +347,7 @@ def newton_invert(G, Gp, target, seed):
     t, w = t.ravel(), w.ravel()
     w = np.where(w.imag <= 0, w.real + 1e-3j, w)
     lim = _NEWTON_TOL * np.maximum(1.0, np.abs(t))
-    g = np.array(G(w), dtype=complex)
+    g, gp = (np.array(v, dtype=complex) for v in G_with_prime(w))
     r = 1.0 / g - t
     errors = {}                 # index of a failed point -> reason
     act = np.arange(t.size)
@@ -312,7 +356,7 @@ def newton_invert(G, Gp, target, seed):
         if not act.size:
             break
         ga = g[act]
-        dF = np.broadcast_to(-Gp(w[act]) / (ga * ga), act.shape)
+        dF = -gp[act] / (ga * ga)
         zero = dF == 0
         errors.update(dict.fromkeys(act[zero].tolist(), "Newton derivative vanished"))
         act, dF = act[~zero], dF[~zero]
@@ -324,12 +368,13 @@ def newton_invert(G, Gp, target, seed):
             w_new = w[todo] - lam * step
             up = np.flatnonzero(w_new.imag > 0)
             if up.size:
-                g_new = G(w_new[up])
+                g_new, gp_new = G_with_prime(w_new[up])
                 r_new = 1.0 / g_new - t[todo[up]]
                 ok = np.abs(r_new) < np.abs(r[todo[up]])
                 done = up[ok]
                 acc = todo[done]
-                w[acc], g[acc], r[acc] = w_new[done], g_new[ok], r_new[ok]
+                w[acc], r[acc] = w_new[done], r_new[ok]
+                g[acc], gp[acc] = g_new[ok], gp_new[ok]
                 keep = np.ones(todo.size, dtype=bool)
                 keep[done] = False
                 todo, step = todo[keep], step[keep]
@@ -354,7 +399,7 @@ def newton_invert(G, Gp, target, seed):
 def voiculescu(source, z: complex) -> complex:
     """phi(z) = F^(-1)(z) - z by verified Newton inversion of F, seeded at z."""
     z = complex(require_upper(z))
-    phi = newton_invert(*as_evaluator(source), z, z) - z
+    phi = newton_invert(as_evaluator(source).G_with_prime, z, z) - z
     if phi.imag > 1e-8:
         raise InversionDiverged(
             f"inverse landed off the Voiculescu branch (Im phi = {phi.imag:.3e})",

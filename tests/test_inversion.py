@@ -135,6 +135,21 @@ class TestStieltjesCdf:
             with pytest.raises(ValueError, match="finite"):
                 stieltjes_cdf(lambda z: 1 / z, xs, (0.1, 0.05))
 
+    def test_second_refinement_pass_reuses_first(self):
+        # 31 nodes: both refinement passes fire; the second evaluates only the
+        # concentrated cells that the first pass left unrefined at each level
+        G, _ = idlaws.family_transform(idlaws.semicircle())
+        points = []
+
+        def g(z):
+            points.append(np.size(z))
+            return G(z)
+
+        xs = np.linspace(-3.0, 3.0, 31)
+        t = stieltjes_cdf(g, xs)
+        assert sum(points) == 1986
+        assert np.max(np.abs(t.values - semicircle_cdf(xs))) < 5e-3
+
     def test_mass_deficit_warns(self):
         G, _ = idlaws.family_transform(idlaws.semicircle())
         xs = np.linspace(-0.5, 0.5, 101)      # misses most of the support

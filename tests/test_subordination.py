@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from freeconv import idlaws, transforms
+from freeconv import idlaws, subordination, transforms
 from freeconv.errors import FixedPointDiverged, NotCentered, NotUpperHalfPlane
 from freeconv.measures import bernoulli_measure, make_atomic, semicircle_measure
 from freeconv.subordination import (boundary_curve, inverse_Zn, pair_cauchy,
-                                    power_cauchy, solve_pair, solve_pair_grid,
-                                    solve_Zn, solve_Zn_grid)
-from freeconv.transforms import cauchy
+                                    power_cauchy, power_transform, solve_pair,
+                                    solve_pair_grid, solve_Zn, solve_Zn_grid)
+from freeconv.transforms import cauchy, voiculescu
 
 SEMI = idlaws.semicircle()
 NON_FINITE = pytest.mark.parametrize(
@@ -66,10 +66,17 @@ class TestSolveZn:
             solve_Zn_grid(bernoulli_measure(), 0, np.array(1j))
 
 
-def _nan_prime(monkeypatch):
-    # every Newton update becomes NaN, so each step is the guarded fallback
-    monkeypatch.setattr(transforms, "measure_cauchy_prime",
-                        lambda m, z: np.full(np.shape(z), np.nan + 0j))
+def _nan_prime(m):
+    """m as an explicit (G, G') source whose G' is NaN, so every Newton update
+    is NaN and each step is the guarded fallback; the list records the size
+    of every G' call."""
+    calls = []
+
+    def Gp(z):
+        calls.append(np.size(z))
+        return np.full(np.shape(z), np.nan + 0j)
+
+    return (transforms.as_evaluator(m).G, Gp), calls
 
 
 class TestNewton:
@@ -99,24 +106,63 @@ class TestNewton:
         assert its <= 12
         assert np.max(np.abs(z - n * Zn + (n - 1) / g)) <= 1e-10
 
-    def test_Zn_fallback_without_derivative(self, monkeypatch):
+    def test_Zn_fallback_without_derivative(self):
         m = bernoulli_measure()
-        zs = (0.3 + 0.2j, -2 + 1j, 5j)
-        want = [solve_Zn(m, 8, z).Zn for z in zs]
-        _nan_prime(monkeypatch)
-        for z, w in zip(zs, want):
-            assert solve_Zn(m, 8, z).Zn == pytest.approx(w, abs=1e-10)
+        source, calls = _nan_prime(m)
+        for z in (0.3 + 0.2j, -2 + 1j, 5j):
+            want = solve_Zn(m, 8, z)
+            calls.clear()
+            got = solve_Zn(source, 8, z)
+            assert got.Zn == pytest.approx(want.Zn, abs=1e-10)
+            # one NaN G' per iterate, and the self-map is slower than Newton
+            assert len(calls) == got.iterations > want.iterations
 
-    def test_pair_fallback_without_derivative(self, monkeypatch):
+    def test_pair_fallback_without_derivative(self):
         m1 = bernoulli_measure()
         m2 = make_atomic([(-0.5, 0.25), (0.0, 0.5), (1.0, 0.25)])
-        zs = (0.3 + 0.8j, 1j, -1 + 0.1j)
-        want = [solve_pair(m1, m2, z) for z in zs]
-        _nan_prime(monkeypatch)
-        for z, (w1, w2) in zip(zs, want):
-            Z1, Z2 = solve_pair(m1, m2, z)
+        (s1, calls1), (s2, calls2) = _nan_prime(m1), _nan_prime(m2)
+        for z in (0.3 + 0.8j, 1j, -1 + 0.1j):
+            w1, w2 = solve_pair(m1, m2, z)
+            calls1.clear()
+            calls2.clear()
+            Z1, Z2 = solve_pair(s1, s2, z)
             assert Z1 == pytest.approx(w1, abs=1e-10)
             assert Z2 == pytest.approx(w2, abs=1e-10)
+            # both NaN derivatives are taken at every iterate
+            assert len(calls1) == len(calls2) > 1
+
+    def test_Zn_one_kernel_pass_per_iterate(self, monkeypatch):
+        m, n = semicircle_measure(101).dilate(2), 4
+        calls = {"measure_cauchy": [], "measure_cauchy_prime": [],
+                 "measure_cauchy_with_prime": []}
+
+        def recorded(fn, seen):
+            def call(m, z):
+                seen.append(z)
+                return fn(m, z)
+            return call
+
+        for name, seen in calls.items():
+            monkeypatch.setattr(transforms, name, recorded(getattr(transforms, name), seen))
+        Zn, its, _ = solve_Zn_grid(m, n, self.Z, tol=1e-9)
+        assert its > 1
+        assert len(calls["measure_cauchy_with_prime"]) == its
+        assert len(calls["measure_cauchy_prime"]) == 0
+        [final] = calls["measure_cauchy"]
+        assert np.array_equal(final, Zn)
+
+    def test_power_transform_one_solve_per_point_array(self, monkeypatch):
+        solved = []
+        solve = subordination.solve_Zn_grid
+
+        def counted(source, n, z, *args, **kwargs):
+            solved.append(np.array(z))
+            return solve(source, n, z, *args, **kwargs)
+
+        monkeypatch.setattr(subordination, "solve_Zn_grid", counted)
+        voiculescu(power_transform(semicircle_measure(401), 2), 10j)
+        assert len(solved) == 3
+        assert len({z.tobytes() for z in solved}) == 3
 
     def test_divergence_reports_full_shape(self):
         m = bernoulli_measure()
@@ -262,6 +308,12 @@ class TestBoundaryCurve:
     def test_requires_centered(self):
         with pytest.raises(NotCentered):
             boundary_curve(delta(1.0), 3, 0.0)
+
+    @pytest.mark.parametrize("x", [[0.0, np.nan], [np.inf, 0.0], -np.inf],
+                             ids=["nan", "inf", "scalar_inf"])
+    def test_rejects_non_finite(self, x):
+        with pytest.raises(ValueError):
+            boundary_curve(bernoulli_measure(), 5, x)
 
     @pytest.mark.parametrize("n", [2, 5, 50])
     def test_semicircle_grid_matches_closed_form(self, n):

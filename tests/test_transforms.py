@@ -19,6 +19,7 @@ from freeconv.measures import (bernoulli_measure, from_density, make_atomic,
 from freeconv.ncpart import moments_to_cumulants
 from freeconv.transforms import (as_evaluator, c1_index, cauchy,
                                  measure_cauchy, measure_cauchy_prime,
+                                 measure_cauchy_with_prime,
                                  nevanlinna_sigma, newton_invert,
                                  reciprocal_cauchy, voiculescu)
 
@@ -165,33 +166,34 @@ def _bounded_pair():
 
 class TestNewtonInvert:
     def test_solves_simple(self):
-        G, Gp = as_evaluator(delta(1.0))
-        w = newton_invert(G, Gp, 5j, 5j)
+        G, G_with_prime = as_evaluator(delta(1.0))
+        w = newton_invert(G_with_prime, 5j, 5j)
         assert 1.0 / G(w) == pytest.approx(5j, abs=1e-9)
 
     def test_reports_divergence(self):
         with pytest.raises(InversionDiverged):
-            newton_invert(*_bounded_pair(), 5j, 1j)      # 5j is unreachable
+            newton_invert(as_evaluator(_bounded_pair()).G_with_prime,
+                          5j, 1j)                           # 5j is unreachable
 
     @pytest.mark.parametrize("m", [semicircle_measure(201), bernoulli_measure()],
                              ids=["semicircle201", "bernoulli"])
     def test_batch_equals_scalar_solves(self, m):
-        G, Gp = as_evaluator(m)
+        _, G_with_prime = as_evaluator(m)
         targets = np.linspace(-2.0, 2.0, 9) + 3j
         seeds = targets + 0.5
-        batch = newton_invert(G, Gp, targets, seeds)
+        batch = newton_invert(G_with_prime, targets, seeds)
         assert batch.shape == targets.shape
         for t, s, w in zip(targets, seeds, batch):
-            one = newton_invert(G, Gp, complex(t), complex(s))
+            one = newton_invert(G_with_prime, complex(t), complex(s))
             assert type(one) is complex
             assert one == w       # bit for bit
 
     def test_batch_reports_divergence_once(self):
-        G, Gp = _bounded_pair()
+        G, G_with_prime = as_evaluator(_bounded_pair())
         targets = np.array([0.25j, 5j, 0.5j, 0.1j])
         seeds = np.array([0.5j, 1j, 1j, 0.5j])
         with pytest.raises(InversionDiverged) as info:
-            newton_invert(G, Gp, targets, seeds)
+            newton_invert(G_with_prime, targets, seeds)
         exc = info.value
         assert exc.failed.tolist() == [False, True, False, False]
         assert exc.last_iterate.shape == targets.shape
@@ -199,17 +201,17 @@ class TestNewtonInvert:
         assert np.all(np.abs(1.0 / G(exc.last_iterate[ok]) - targets[ok]) < 1e-10)
 
     def test_G_evaluated_once_per_point(self):
-        # F' is formed from the G kept for each accepted iterate
+        # F' is formed from the G and G' kept for each accepted iterate
         m = semicircle_measure(201)
-        G, Gp = as_evaluator(m)
+        G, G_with_prime = as_evaluator(m)
         seen = []
 
         def recorded(w):
             seen.extend(np.asarray(w).tolist())
-            return G(w)
+            return G_with_prime(w)
 
         targets = np.linspace(-2.0, 2.0, 9) + 3j
-        w = newton_invert(recorded, Gp, targets, targets + 0.5)
+        w = newton_invert(recorded, targets, targets + 0.5)
         assert np.all(np.abs(1.0 / G(w) - targets) < 1e-9)
         assert len(seen) > targets.size
         assert len(set(seen)) == len(seen)
@@ -220,7 +222,7 @@ class TestNewtonInvert:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[1])
             return newton_invert(*args, **kwargs)
 
         monkeypatch.setattr(idlaws, "newton_invert", counted)
@@ -415,6 +417,28 @@ class TestDensityKernel:
         assert np.array_equal(single, measure_cauchy(m, zs))
         assert np.array_equal(measure_cauchy(m, zs.reshape(-1, 1))[:, 0],
                               measure_cauchy(m, zs))
+
+
+@pytest.mark.parametrize("name", [*_kernel_inputs(), "atoms_and_jumps"])
+def test_one_pass_equals_separate_passes(name):
+    """(G, G') from one pass is measure_cauchy and measure_cauchy_prime bit
+    for bit: Laurent zone, far and near segments, at atoms, endpoint jumps."""
+    if name == "atoms_and_jumps":
+        unif = np.linspace(-1.0, 1.0, 201)       # p jumps at both ends
+        m = from_density(unif, np.ones(unif.size), normalize=True,
+                         atoms=[(-1.5, 0.2), (0.25, 0.1), (1.0, 0.05)])
+    else:
+        m = _kernel_inputs()[name]
+    zs = _kernel_points(m)
+    if m.atom_positions.size:
+        zs = np.concatenate([zs, (m.atom_positions[:, None]
+                                  + np.array([1e-9j, 1e-3j, 0.1 + 1e-2j])).ravel()])
+    g, gp = measure_cauchy_with_prime(m, zs)
+    assert np.array_equal(g, measure_cauchy(m, zs))
+    assert np.array_equal(gp, measure_cauchy_prime(m, zs))
+    z = complex(zs[0])
+    assert measure_cauchy_with_prime(m, z) == (measure_cauchy(m, z),
+                                               measure_cauchy_prime(m, z))
 
 
 def test_rates_csv_independent_of_thread_counts(tmp_path):
