@@ -10,7 +10,7 @@ from .subordination import (boundary_curve, inverse_Zn, pair_cauchy,
                             power_cauchy, solve_pair, solve_Zn)
 from .inversion import (CdfTable, DistanceReport, kolmogorov, measure_to_cdf,
                         stieltjes_cdf, tail_smoothing_check)
-from .idlaws import (FamilySpec, family_cauchy, family_measure, free_poisson,
+from .idlaws import (FamilySpec, family_measure, free_poisson,
                      is_free_id_sampled, meixner_w, semicircle)
 from .bench import (ExperimentConfig, RateReport, pair_cdf, power_cdf,
                     run_rate_experiment)

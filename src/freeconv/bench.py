@@ -16,12 +16,11 @@ import numpy as np
 
 from . import idlaws
 from .errors import FreeconvError, NotNormalized
-from .inversion import _eta_levels, kolmogorov, stieltjes_cdf
+from .inversion import DEFAULT_ETA, _eta_levels, kolmogorov, stieltjes_cdf
 from .measures import Measure
 from .subordination import solve_pair_grid, solve_Zn_grid
 
 DEFAULT_GRID = (-4.0, 4.0, 2001)
-DEFAULT_ETA = (0.04, 0.02, 0.01)
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,6 @@ class ExperimentConfig:
     grid: tuple = DEFAULT_GRID
     eta_schedule: tuple = DEFAULT_ETA
     target: object = "meixner_auto"   # or an idlaws.FamilySpec
-    output_path: str | None = None
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_values)
@@ -137,8 +135,5 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
                                          [r[2] for r in ordered])
     else:
         slope, stderr = float("nan"), float("nan")
-    report = RateReport(rows=tuple(ordered), slope=slope, slope_stderr=stderr,
-                        failed=tuple(failures))
-    if cfg.output_path:
-        report.save(cfg.output_path)
-    return report
+    return RateReport(rows=tuple(ordered), slope=slope, slope_stderr=stderr,
+                      failed=tuple(failures))

@@ -150,13 +150,14 @@ def _cmd_rates(args) -> int:
         grid=tuple(raw.get("grid", bench.DEFAULT_GRID)),
         eta_schedule=eta,
         target=target,
-        output_path=raw.get("output_path"),
     )
     report = bench.run_rate_experiment(cfg)
-    if not cfg.output_path:
+    out = raw.get("output_path")
+    if not out:
         sys.stdout.write(report.to_csv())
     else:
-        print(f"wrote {cfg.output_path}")
+        report.save(out)
+        print(f"wrote {out}")
         print(f"slope = {report.slope:.12g} +- {report.slope_stderr:.12g}")
     return 0
 

@@ -7,8 +7,8 @@ The one-parameter family w_a has the closed-form Cauchy transform
 with the square-root branch fixed by Im z > 0  =>  Im(1/G) >= Im z.  Its
 Voiculescu transform is 1/(z - a), so its free cumulants are a^(k-2): w_a is
 the standardized free Poisson law of rate 1/a^2, and w_0 the standard
-semicircle law.  The semicircle and free Poisson families are therefore
-evaluated as affine images of w_a.
+semicircle law.  Every family is therefore the law of c + s W with W ~ w_a
+(family_affine), and its transform and grid measure are built from w_a's.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import measures
 from .errors import InversionDiverged, OutOfRange
 from .measures import Measure
-from .transforms import as_evaluator, newton_invert, require_upper
+from .transforms import as_evaluator, newton_invert
 
 FAMILY_NAMES = ("semicircle", "free_poisson", "meixner_w")
 
@@ -95,66 +95,36 @@ def _assert_branch(z, g):
             raise AssertionError("square-root branch violated Im(1/G) >= Im z")
 
 
-def family_transform(spec: FamilySpec):
-    """(G, G') closed-form evaluators for a family spec.
+def family_affine(spec: FamilySpec) -> tuple[float, float, float]:
+    """(a, c, s) such that the family law is the law of c + s W, W ~ w_a.
 
-    Every family is the law of c + s W with W ~ w_a, so that
-    G(z) = G_W((z - c)/s)/s and G'(z) = G_W'((z - c)/s)/s^2:
-    semicircle(m, v) is s = sqrt(v), c = m, a = 0, and free_poisson(r) is
-    s = sqrt(r), c = r, a = 1/sqrt(r).  meixner_w(a) is w_a itself.
+    semicircle(m, v) is a = 0, c = m, s = sqrt(v); free_poisson(r) is
+    a = 1/sqrt(r), c = r, s = sqrt(r); meixner_w(a) is w_a itself.
     """
     p = spec.params
-    if spec.name == "meixner_w":
-        return _meixner_pair(p["a"])
     if spec.name == "semicircle":
-        s, c, a = float(np.sqrt(p["variance"])), p["mean"], 0.0
-    else:
+        return 0.0, p["mean"], float(np.sqrt(p["variance"]))
+    if spec.name == "free_poisson":
         s = float(np.sqrt(p["rate"]))
-        c, a = p["rate"], 1.0 / s
+        return 1.0 / s, p["rate"], s
+    return p["a"], 0.0, 1.0
+
+
+def family_transform(spec: FamilySpec):
+    """(G, G') closed-form evaluators for a family spec, from
+    G(z) = G_W((z - c)/s)/s and G'(z) = G_W'((z - c)/s)/s^2."""
+    a, c, s = family_affine(spec)
     G_W, Gp_W = _meixner_pair(a)
+    if (c, s) == (0.0, 1.0):
+        return G_W, Gp_W
     return (lambda z: G_W((np.asarray(z, dtype=complex) - c) / s) / s,
             lambda z: Gp_W((np.asarray(z, dtype=complex) - c) / s) / (s * s))
 
 
-def family_cauchy(spec: FamilySpec, z):
-    z = require_upper(z)
-    G, _ = family_transform(spec)
-    out = G(z)
-    return out if np.ndim(out) else complex(out)
-
-
 def family_measure(spec: FamilySpec, points: int = 4001) -> Measure:
-    """Grid Measure realizing a family law.
-
-    Semicircle and free Poisson use their standard closed-form densities;
-    w_a is sampled from its transform just above the real axis (it has no
-    simple density formula, so the transform is the source of truth).
-    """
-    p = spec.params
-    if spec.name == "semicircle":
-        sd = float(np.sqrt(p["variance"]))
-        return measures.semicircle_measure(points=points, radius=2.0 * sd,
-                                           mean=p["mean"])
-    if spec.name == "free_poisson":
-        lam = p["rate"]
-        lo = (1.0 - np.sqrt(lam)) ** 2
-        hi = (1.0 + np.sqrt(lam)) ** 2
-        theta = np.linspace(0.0, np.pi, points)
-        xs = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(theta)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vals = np.sqrt(np.maximum((hi - xs) * (xs - lo), 0.0)) / (2 * np.pi * xs)
-        vals = np.where(np.isfinite(vals), vals, 0.0)
-        atoms = [(0.0, 1.0 - lam)] if lam < 1.0 else []
-        return measures.from_density(xs, vals, atoms=atoms, normalize=True)
-    a = p["a"]
-    theta = np.linspace(0.0, np.pi, points)
-    xs = a - 2.0 * np.cos(theta)
-    G, _ = _meixner_pair(a)
-    dens = np.maximum(-G(xs + 1e-9j).imag / np.pi, 0.0)
-    atoms = []
-    if abs(a) > 1.0:
-        atoms.append((-1.0 / a, 1.0 - 1.0 / a**2))
-    return measures.from_density(xs, dens, atoms=atoms, normalize=True)
+    """Grid Measure realizing a family law: the (c, s) image of the w_a law
+    on cosine-spaced nodes, with w_a's closed-form density and its atom."""
+    return measures._wa_grid_law(*family_affine(spec), points)
 
 
 # -- sampled infinite-divisibility verdict ----------------------------------

@@ -22,6 +22,7 @@ ATOM_CELL_THRESHOLD = 0.02
 REFINE_FACTOR = 16
 CELL_VARIATION = 0.25
 MASS_DEFICIT_WARN = 2e-2
+DEFAULT_ETA = (0.04, 0.02, 0.01)
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ def _detect_atoms(g, xs, eta, row):
     return atoms
 
 
-def stieltjes_cdf(g, xs, eta_schedule=(0.04, 0.02, 0.01)) -> CdfTable:
+def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
     """Recover the CDF table of a probability measure from its Cauchy-transform
     evaluator g.
 
@@ -227,6 +228,9 @@ def stieltjes_cdf(g, xs, eta_schedule=(0.04, 0.02, 0.01)) -> CdfTable:
     schedule; with an extra sqrt(eta) term for three, which handles
     square-root density edges), cumulated and clipped to [0, 1].  A mass
     deficit above MASS_DEFICIT_WARN is warned about.
+
+    Only the last three levels (two for a two-level schedule) are evaluated:
+    with eta_schedule (0.1, 0.05, 0.02, 0.01), g is never called at 0.1.
     """
     xs = np.asarray(xs, dtype=float)
     if (xs.ndim != 1 or xs.size < 2 or not np.all(np.isfinite(xs))

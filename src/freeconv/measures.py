@@ -286,17 +286,39 @@ def moment_vector(m: Measure, K: int) -> list[float]:
     return ms[1:]
 
 
-def semicircle_measure(points: int = 2001, radius: float = 2.0,
-                       mean: float = 0.0) -> Measure:
-    """Grid measure for the semicircle law of variance (radius/2)^2.
+def _wa_density(a: float, y):
+    """Closed-form density sqrt(4 - (y - a)^2) / (2 pi (1 + a y)) of w_a.
 
-    Cosine node spacing clusters points at the square-root edges, where a
-    uniform grid loses most of its trapezoid accuracy.
+    It is set to 0 off the support and where 1 + a y vanishes, which happens
+    only at the edge y = -1 for a = 1 (the free Poisson law of rate 1).
+    """
+    y = np.asarray(y, dtype=float)
+    root = 2.0 / (np.pi * 4.0) * np.sqrt(np.maximum(4.0 - (y - a) ** 2, 0.0))
+    den = 1.0 + a * y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, root / den, 0.0)
+
+
+def _wa_grid_law(a: float, c: float, s: float, points: int) -> Measure:
+    """Grid measure of the law of c + s W with W ~ w_a.
+
+    W's nodes are y = a - 2 cos(theta) on a uniform theta grid, a cosine
+    spacing that clusters points at the square-root edges of the support
+    [a - 2, a + 2], where a uniform grid loses most of its trapezoid
+    accuracy.  For |a| > 1, w_a also has the atom 1 - 1/a^2 at -1/a.
     """
     theta = np.linspace(0.0, np.pi, points)
-    xs = -radius * np.cos(theta)
-    vals = 2.0 / (np.pi * radius**2) * np.sqrt(np.maximum(radius**2 - xs**2, 0.0))
-    return from_density(xs + mean, vals, normalize=True)
+    y = a - 2.0 * np.cos(theta)
+    atoms = [(c + s * (-1.0 / a), 1.0 - 1.0 / a**2)] if abs(a) > 1.0 else []
+    return from_density(c + s * y, _wa_density(a, y) / s, atoms=atoms,
+                        normalize=True)
+
+
+def semicircle_measure(points: int = 2001, radius: float = 2.0,
+                       mean: float = 0.0) -> Measure:
+    """Grid measure for the semicircle law of variance (radius/2)^2: the
+    image mean + (radius/2) W of W ~ w_0 on cosine-spaced nodes."""
+    return _wa_grid_law(0.0, mean, 0.5 * radius, points)
 
 
 def bernoulli_measure() -> Measure:

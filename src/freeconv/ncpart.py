@@ -80,8 +80,13 @@ def count_nc_blocks(n: int, s: int) -> int:
     return math.comb(n, s) * math.comb(n, s - 1) // n
 
 
-def _moments_via_enumeration(alpha):
+def moments_via_enumeration(alpha) -> list[float]:
+    """Moments m_1..m_K from free cumulants by summing over NC(n): the
+    reference oracle for cumulants_to_moments, K <= ENUMERATION_MAX."""
+    alpha = list(alpha)
     K = len(alpha)
+    if K > ENUMERATION_MAX:
+        raise OrderTooLarge(f"enumeration path limited to K <= {ENUMERATION_MAX}")
     moments = []
     for n in range(1, K + 1):
         total = 0.0
@@ -127,7 +132,7 @@ def _triangular(seq, to_moments: bool) -> list[float]:
     return out
 
 
-def cumulants_to_moments(alpha, method: str = "recursion") -> list[float]:
+def cumulants_to_moments(alpha) -> list[float]:
     """Moments m_1..m_K from free cumulants alpha_1..alpha_K.
 
     The recursion conditions on the size s of the block containing 1:
@@ -137,12 +142,6 @@ def cumulants_to_moments(alpha, method: str = "recursion") -> list[float]:
     K = len(alpha)
     if K < 1:
         raise ValueError("empty cumulant vector")
-    if method == "enumeration":
-        if K > ENUMERATION_MAX:
-            raise OrderTooLarge(f"enumeration path limited to K <= {ENUMERATION_MAX}")
-        return _moments_via_enumeration(alpha)
-    if method != "recursion":
-        raise ValueError(f"unknown method {method!r}")
     if K > RECURSION_MAX:
         raise OrderTooLarge(f"recursion path limited to K <= {RECURSION_MAX}")
     return _triangular(alpha, to_moments=True)

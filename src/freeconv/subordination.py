@@ -21,6 +21,9 @@ from .measures import Measure
 from .transforms import Evaluator, as_evaluator, require_upper
 
 MAX_ITER = 10_000
+# relative tolerance of the solvers' stopping tests; bench.power_cdf passes
+# a looser one to solve_Zn_grid
+TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,7 @@ class SubordinationResult:
     residual: float
 
 
-def _guarded_newton(step, z, w, floor, tol, max_iter, what):
+def _guarded_newton(step, z, w, floor, tol, what):
     """Active-set guarded Newton loop shared by both solvers.
 
     step(w, z) evaluates the active points once and returns (fixed, newton,
@@ -40,14 +43,15 @@ def _guarded_newton(step, z, w, floor, tol, max_iter, what):
     lies above its floor and its residual fell since the previous iteration,
     and to the self-map image otherwise.  A converged point is stored, with
     its last update, and never evaluated again, so each point's trajectory
-    depends on that point alone.  Returns (iterate of z's shape, iterations).
+    depends on that point alone.  At most MAX_ITER iterations are taken.
+    Returns (iterate of z's shape, iterations).
     """
     shape = z.shape
     z, w, floor = z.ravel(), w.ravel(), floor.ravel()
     out = w.copy()
     idx = np.arange(z.size)
     r_prev = np.full(z.size, np.inf)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         fixed, newton, r, done = step(w, z[idx])
         if np.any(fixed.imag < floor[idx] - 1e-12):
             out[idx] = fixed
@@ -62,20 +66,17 @@ def _guarded_newton(step, z, w, floor, tol, max_iter, what):
         idx, r_prev = idx[keep], r[keep]
     out[idx] = w
     raise FixedPointDiverged(
-        f"{what} did not reach tol={tol} in {max_iter} iterations",
+        f"{what} did not reach tol={tol} in {MAX_ITER} iterations",
         last_iterate=out.reshape(shape))
 
 
-def solve_Zn_grid(source, n: int, z, tol: float = 1e-12,
-                  max_iter: int = MAX_ITER):
-    """Vectorized subordination solve; returns (Zn, iterations, G(Zn))."""
+def _subordinator(G_with_prime, n: int, z, tol: float):
+    """Z_n at the points z of the upper half plane; returns (Zn, iterations)."""
     z = require_upper(z)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    G, G_with_prime = as_evaluator(source)
     if n == 1:
-        zz = np.array(z, dtype=complex)
-        return zz, 0, G(zz)
+        return np.array(z, dtype=complex), 0
     c = (n - 1.0) / n
     eps = np.finfo(float).eps
 
@@ -91,18 +92,26 @@ def solve_Zn_grid(source, n: int, z, tol: float = 1e-12,
         # mean the iterate sits in the attainable noise ball, which is as
         # close as finite precision ever gets
         done = (n * size <= 0.5 * tol * scale) | (size <= 8 * eps * scale)
-        return fixed, w + n * d / (n - (n - 1) * fp), n * size, done
+        # a non-finite update is discarded by _guarded_newton
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = w + n * d / (n - (n - 1) * fp)
+        return fixed, newton, n * size, done
 
-    Zn, it = _guarded_newton(step, z, z + 1j, z.imag / n, tol, max_iter,
-                             "subordination fixed point")
+    return _guarded_newton(step, z, z + 1j, z.imag / n, tol,
+                           "subordination fixed point")
+
+
+def solve_Zn_grid(source, n: int, z, tol: float = TOL):
+    """Vectorized subordination solve; returns (Zn, iterations, G(Zn))."""
+    G, G_with_prime = as_evaluator(source)
+    Zn, it = _subordinator(G_with_prime, n, z, tol)
     return Zn, it, G(Zn)
 
 
-def solve_Zn(source, n: int, z: complex, tol: float = 1e-12,
-             max_iter: int = MAX_ITER) -> SubordinationResult:
+def solve_Zn(source, n: int, z: complex) -> SubordinationResult:
     """Solve z = n Z - (n-1) F(Z) for the unique Z with Im Z >= Im z."""
     zz = np.asarray(complex(z), dtype=complex)
-    Zn, its, g = solve_Zn_grid(source, n, zz, tol=tol, max_iter=max_iter)
+    Zn, its, g = solve_Zn_grid(source, n, zz)
     residual = np.abs(zz - n * Zn + (n - 1) * (1.0 / g))
     return SubordinationResult(z=complex(z), Zn=complex(Zn),
                                iterations=its, residual=float(residual))
@@ -119,8 +128,8 @@ def power_transform(source, n: int) -> Evaluator:
 
     G_n = G o Z_n and G_n' = G'(Z_n) Z_n' with
     Z_n' = 1 / (n + (n-1) G'(Z_n)/G(Z_n)^2), by implicit differentiation of
-    z = n Z_n - (n-1)/G(Z_n).  Both come from one solve for Z_n.  Usable
-    wherever a transform source is.
+    z = n Z_n - (n-1)/G(Z_n).  Both come from one solve for Z_n and one
+    (G, G') pass there.  Usable wherever a transform source is.
     """
     G_with_prime = as_evaluator(source).G_with_prime
 
@@ -128,7 +137,7 @@ def power_transform(source, n: int) -> Evaluator:
         return solve_Zn_grid(source, n, np.asarray(z, dtype=complex))[2]
 
     def Gn_with_prime(z):
-        Zn = solve_Zn_grid(source, n, np.asarray(z, dtype=complex))[0]
+        Zn, _ = _subordinator(G_with_prime, n, np.asarray(z, dtype=complex), TOL)
         g, gp = G_with_prime(Zn)
         return g, gp / (n + (n - 1) * gp / (g * g))
 
@@ -143,15 +152,19 @@ def inverse_Zn(source, n: int, z):
     return out if np.ndim(out) else complex(out)
 
 
-def solve_pair_grid(m1, m2, z, tol: float = 1e-12, max_iter: int = MAX_ITER):
+def solve_pair_grid(m1, m2, z):
     """Vectorized two-function subordination:
     z = Z1 + Z2 - F1(Z1) and F1(Z1) = F2(Z2); returns (Z1, G1(Z1)).
 
     Z1 is the unknown and Z2 = z - Z1 + F1(Z1), so the first relation holds
     exactly and Im Z2 >= Im z, because Im F1(w) >= Im w.  Newton's method in
     Z1 solves F1(Z1) - F2(Z2) = 0, with the sweep Z1 <- z - Z2 + F2(Z2) as
-    the guarded fallback step; |F2(Z2) - F1(Z1)|, the residual of the second
-    relation, is the convergence criterion.
+    the guarded fallback step.  A point stops when the residual
+    |F2(Z2) - F1(Z1)| of the second relation is at most
+    TOL * max(1, |Z1|, |Z2|) * (1 + |F2'(Z2)|).  The last factor is the
+    rounding floor of that residual near a pole of F2, where a rounding of
+    Z2 moves F2 by |F2'(Z2)| times as much; it is taken as 1 where F2' is
+    not finite.
     """
     z = require_upper(z)
     G1, G1_with_prime = as_evaluator(m1)
@@ -165,13 +178,17 @@ def solve_pair_grid(m1, m2, z, tol: float = 1e-12, max_iter: int = MAX_ITER):
         f2, f2p = 1.0 / g2, -g2p / (g2 * g2)
         phi = f1 - f2
         r = np.abs(phi)
-        scale = np.maximum(1.0, np.maximum(np.abs(Z1), np.abs(Z2)))
-        return (z - Z2 + f2, Z1 - phi / (f1p - f2p * (f1p - 1.0)), r,
-                r <= tol * scale)
+        slope = np.abs(f2p)
+        pole = np.where(np.isfinite(slope), 1.0 + slope, 1.0)
+        scale = np.maximum(1.0, np.maximum(np.abs(Z1), np.abs(Z2))) * pole
+        # a non-finite update is discarded by _guarded_newton
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = Z1 - phi / (f1p - f2p * (f1p - 1.0))
+        return z - Z2 + f2, newton, r, r <= TOL * scale
 
     try:
-        Z1, _ = _guarded_newton(step, z, z + 1j, np.zeros(z.shape), tol,
-                                max_iter, "pair subordination")
+        Z1, _ = _guarded_newton(step, z, z + 1j, np.zeros(z.shape), TOL,
+                                "pair subordination")
     except FixedPointDiverged as exc:
         Z1 = exc.last_iterate
         exc.last_iterate = (Z1, z - Z1 + 1.0 / G1(Z1))
@@ -179,17 +196,16 @@ def solve_pair_grid(m1, m2, z, tol: float = 1e-12, max_iter: int = MAX_ITER):
     return Z1, G1(Z1)
 
 
-def solve_pair(m1, m2, z: complex, tol: float = 1e-12,
-               max_iter: int = MAX_ITER) -> tuple[complex, complex]:
+def solve_pair(m1, m2, z: complex) -> tuple[complex, complex]:
     """Two-function subordination at a single point; returns (Z1, Z2)."""
     zz = np.asarray(complex(z), dtype=complex)
-    Z1, g1 = solve_pair_grid(m1, m2, zz, tol=tol, max_iter=max_iter)
+    Z1, g1 = solve_pair_grid(m1, m2, zz)
     return complex(Z1), complex(zz - Z1 + 1.0 / g1)
 
 
-def pair_cauchy(m1, m2, z, tol: float = 1e-12):
+def pair_cauchy(m1, m2, z):
     """Cauchy transform of m1 boxplus m2 at z (scalar or array)."""
-    _, out = solve_pair_grid(m1, m2, np.asarray(z, dtype=complex), tol=tol)
+    _, out = solve_pair_grid(m1, m2, np.asarray(z, dtype=complex))
     return out if np.ndim(z) else complex(out)
 
 

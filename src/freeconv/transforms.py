@@ -246,14 +246,9 @@ def measure_cauchy(m: Measure, z):
     return _measure_transform(m, z, (0,))[0]
 
 
-def measure_cauchy_prime(m: Measure, z):
-    """G'(z) = -integral of 1/(z-t)^2."""
-    return _measure_transform(m, z, (1,))[0]
-
-
 def measure_cauchy_with_prime(m: Measure, z):
-    """(G(z), G'(z)) from one pass; bit for bit measure_cauchy and
-    measure_cauchy_prime."""
+    """(G(z), G'(z)) from one pass, G'(z) = -integral of 1/(z-t)^2; its G is
+    measure_cauchy bit for bit."""
     return tuple(_measure_transform(m, z, (0, 1)))
 
 
@@ -269,28 +264,22 @@ class Evaluator(NamedTuple):
     G_with_prime: Callable
 
 
-def _wrap_pair(G, Gp) -> Evaluator:
-    """Evaluator of separate G and G' callables, which it calls in turn."""
-    return Evaluator(G, lambda z: (G(z), Gp(z)))
-
-
 def as_evaluator(source) -> Evaluator:
     """Normalize a transform source to an Evaluator.
 
-    Accepts an Evaluator, a Measure, an idlaws.FamilySpec, or an explicit
-    (G, G') pair of callables.
+    Accepts an Evaluator, a Measure or an idlaws.FamilySpec, whose separate
+    closed-form G and G' the Evaluator calls in turn.
     """
     if isinstance(source, Evaluator):
         return source
     if isinstance(source, Measure):
         return Evaluator(lambda z: measure_cauchy(source, z),
                          lambda z: measure_cauchy_with_prime(source, z))
-    if isinstance(source, tuple) and len(source) == 2 and callable(source[0]):
-        return _wrap_pair(*source)
     from . import idlaws
 
     if isinstance(source, idlaws.FamilySpec):
-        return _wrap_pair(*idlaws.family_transform(source))
+        G, Gp = idlaws.family_transform(source)
+        return Evaluator(G, lambda z: (G(z), Gp(z)))
     raise TypeError(f"cannot interpret {source!r} as a transform source")
 
 
@@ -298,7 +287,8 @@ def cauchy(source, z):
     """Cauchy transform at z in the upper half plane."""
     z = require_upper(z)
     G, _ = as_evaluator(source)
-    return G(z)
+    out = G(z)
+    return out if np.ndim(out) else complex(out)
 
 
 def reciprocal_cauchy(source, z):

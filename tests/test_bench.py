@@ -62,9 +62,9 @@ class TestRateExperiment:
 
     def test_bernoulli_slope_and_report(self, tmp_path):
         out = tmp_path / "rates.csv"
-        cfg = ExperimentConfig(bernoulli_measure(), (4, 8, 16, 32),
-                               output_path=str(out))
+        cfg = ExperimentConfig(bernoulli_measure(), (4, 8, 16, 32))
         report = run_rate_experiment(cfg)
+        report.save(out)
         assert -1.3 < report.slope < -0.7
         assert all(0 <= d <= 1 for _, _, d in report.rows)
         assert [r[0] for r in report.rows] == [4, 8, 16, 32]

@@ -3,7 +3,7 @@ import pytest
 
 from freeconv import idlaws
 from freeconv.errors import NotUpperHalfPlane, OutOfRange
-from freeconv.idlaws import (FamilySpec, family_cauchy, family_measure,
+from freeconv.idlaws import (FamilySpec, family_affine, family_measure,
                              family_transform, free_poisson,
                              is_free_id_sampled, meixner_w,
                              semicircle)
@@ -11,6 +11,7 @@ from freeconv.inversion import stieltjes_cdf
 from freeconv import measures
 from freeconv.measures import bernoulli_measure, make_atomic
 from freeconv.subordination import power_transform
+from freeconv.transforms import cauchy
 
 
 class TestFamilySpec:
@@ -31,19 +32,19 @@ class TestFamilySpec:
 
 class TestMeixnerCauchy:
     def test_a0_is_semicircle(self):
-        got = family_cauchy(meixner_w(0.0), 1j)
+        got = cauchy(meixner_w(0.0), 1j)
         assert got == pytest.approx(1j * (1 - np.sqrt(5)) / 2, abs=1e-12)
 
     def test_normalization_asymptotics(self):
         for a in (0.0, 1.0, -2.0):
-            g = family_cauchy(meixner_w(a), 100j)
+            g = cauchy(meixner_w(a), 100j)
             assert abs(100j * g - 1) < 0.05
 
     def test_defining_algebraic_identity(self):
         # 2 (1/V - a) - (z - a) must be a square root of (z-a)^2 - 4, and
         # the branch must satisfy Im(1/V) >= Im z
         a, z = 1.0, 2j
-        V = family_cauchy(meixner_w(a), z)
+        V = cauchy(meixner_w(a), z)
         s = 2 * (1 / V - a) - (z - a)
         assert abs(s * s - ((z - a) ** 2 - 4)) < 1e-12
         assert (1 / V).imag >= z.imag - 1e-12
@@ -52,38 +53,38 @@ class TestMeixnerCauchy:
         zs = (np.linspace(-3, 3, 10)[:, None]
               + 1j * np.linspace(0.1, 5, 10))
         for a in (0.0, 1.5, -1.0):
-            g = family_cauchy(meixner_w(a), zs)
+            g = cauchy(meixner_w(a), zs)
             f = 1.0 / g
             assert np.all(f.imag >= zs.imag - 1e-10)
             assert np.all(g.imag < 0)
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(NotUpperHalfPlane):
-            family_cauchy(meixner_w(0.0), -1j)
+            cauchy(meixner_w(0.0), -1j)
 
 
 class TestFamilyCauchy:
     def test_standard_semicircle(self):
-        got = family_cauchy(semicircle(), 1j)
+        got = cauchy(semicircle(), 1j)
         assert got == pytest.approx(1j * (1 - np.sqrt(5)) / 2, abs=1e-12)
 
     def test_affine_scaling(self):
         mean, sd = 0.7, 1.6
         spec = semicircle(mean=mean, variance=sd * sd)
         z = mean + 1j * sd
-        got = family_cauchy(spec, z)
-        std = family_cauchy(semicircle(), (z - mean) / sd)
+        got = cauchy(spec, z)
+        std = cauchy(semicircle(), (z - mean) / sd)
         assert got == pytest.approx(std / sd, abs=1e-12)
 
     def test_free_poisson_asymptotics(self):
-        g = family_cauchy(free_poisson(1.0), 100j)
+        g = cauchy(free_poisson(1.0), 100j)
         assert abs(100j * g - 1) < 0.05
 
     def test_meixner_zero_equals_semicircle_on_grid(self):
         zs = (np.linspace(-3, 3, 10)[:, None]
               + 1j * np.linspace(0.1, 5, 10))
-        a = family_cauchy(meixner_w(0.0), zs)
-        b = family_cauchy(semicircle(), zs)
+        a = cauchy(meixner_w(0.0), zs)
+        b = cauchy(semicircle(), zs)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -146,6 +147,41 @@ class TestFamilyMeasure:
         m = family_measure(meixner_w(2.0))
         assert m.atom_positions == pytest.approx([-0.5])
         assert m.atom_weights == pytest.approx([0.75])
+
+    def test_same_law_same_measure(self):
+        a, b = family_measure(meixner_w(0.0)), family_measure(semicircle())
+        assert np.array_equal(a.grid, b.grid)
+        assert np.array_equal(a.density, b.density)
+
+    # rate 1 has a 1/sqrt(x) edge at 0, which the trapezoid normalization
+    # of the grid law misses by 5e-4
+    @pytest.mark.parametrize("rate, mp_rtol", [(0.25, 1e-6), (0.5, 1e-6),
+                                               (1.0, 1e-3), (2.0, 1e-6)])
+    def test_free_poisson_is_image_of_w_a(self, rate, mp_rtol):
+        a, c, s = family_affine(free_poisson(rate))
+        assert (a, c, s) == (1.0 / np.sqrt(rate), rate, np.sqrt(rate))
+        w = measures._wa_grid_law(a, 0.0, 1.0, 2001)
+        m = family_measure(free_poisson(rate), 2001)
+        assert np.array_equal(m.grid, c + s * w.grid)
+        assert np.allclose(m.density, w.density / s, rtol=1e-12, atol=0.0)
+        assert m.atom_weights.tolist() == w.atom_weights.tolist()
+        assert np.allclose(m.atom_positions, c + s * w.atom_positions,
+                           rtol=0.0, atol=1e-15)
+        # Marchenko-Pastur density on the support [(1 - sqrt r)^2, (1 + sqrt r)^2]
+        lo, hi = (1 - s) ** 2, (1 + s) ** 2
+        x = m.grid[1:-1]
+        mp = np.sqrt((hi - x) * (x - lo)) / (2 * np.pi * x)
+        assert np.allclose(m.density[1:-1], mp, rtol=mp_rtol, atol=0.0)
+        if rate < 1:
+            assert m.atom_positions == pytest.approx([0.0], abs=1e-15)
+            assert m.atom_weights == pytest.approx([1.0 - rate], rel=1e-14)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, -1.5, 2.0])
+    def test_wa_density_is_boundary_value_of_G(self, a):
+        G, _ = family_transform(meixner_w(a))
+        y = np.linspace(a - 1.95, a + 1.95, 401)
+        want = -G(y + 1e-12j).imag / np.pi
+        assert np.allclose(measures._wa_density(a, y), want, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("spec", [semicircle(0.5, 2.0), free_poisson(1.0),
                                       meixner_w(1.0)],

@@ -228,10 +228,8 @@ class TestTriangleProperty:
             mu = make_atomic([(p[0], w1), (p[1], 1 - w1)])
             mup = make_atomic([(q[0], w2), (q[1], 1 - w2)])
             base = kolmogorov(measure_to_cdf(mu), measure_to_cdf(mup)).distance
-            ta = stieltjes_cdf(lambda z: pair_cauchy(mu, nu, z, tol=1e-9),
-                               xs, (0.02, 0.01))
-            tb = stieltjes_cdf(lambda z: pair_cauchy(mup, nu, z, tol=1e-9),
-                               xs, (0.02, 0.01))
+            ta = stieltjes_cdf(lambda z: pair_cauchy(mu, nu, z), xs, (0.02, 0.01))
+            tb = stieltjes_cdf(lambda z: pair_cauchy(mup, nu, z), xs, (0.02, 0.01))
             assert kolmogorov(ta, tb).distance <= base + 5e-3
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from freeconv.errors import NTooLarge, OrderTooLarge, OutOfRange
 from freeconv.ncpart import (catalan, count_nc_blocks, cumulants_to_moments,
                              enumerate_nc, is_noncrossing,
-                             moments_to_cumulants)
+                             moments_to_cumulants, moments_via_enumeration)
 
 
 class TestEnumerate:
@@ -96,16 +96,16 @@ class TestCumulantsToMoments:
         rng = np.random.default_rng(10)
         for _ in range(5):
             alpha = rng.uniform(-2, 2, 10)
-            a = cumulants_to_moments(alpha, method="recursion")
-            b = cumulants_to_moments(alpha, method="enumeration")
+            a = cumulants_to_moments(alpha)
+            b = moments_via_enumeration(alpha)
             scale = np.maximum(1.0, np.abs(a))
             assert np.max(np.abs(np.subtract(a, b)) / scale) < 1e-10
 
     def test_paths_agree_order_12(self):
         rng = np.random.default_rng(11)
         alpha = rng.uniform(-2, 2, 12)
-        a = cumulants_to_moments(alpha, method="recursion")
-        b = cumulants_to_moments(alpha, method="enumeration")
+        a = cumulants_to_moments(alpha)
+        b = moments_via_enumeration(alpha)
         scale = np.maximum(1.0, np.abs(a))
         assert np.max(np.abs(np.subtract(a, b)) / scale) < 1e-10
 
@@ -124,7 +124,7 @@ class TestCumulantsToMoments:
         with pytest.raises(OrderTooLarge):
             cumulants_to_moments([0.0] * 33)
         with pytest.raises(OrderTooLarge):
-            cumulants_to_moments([0.0] * 15, method="enumeration")
+            moments_via_enumeration([0.0] * 15)
 
 
 class TestMomentsToCumulants:

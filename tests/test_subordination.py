@@ -47,9 +47,10 @@ class TestSolveZn:
                 assert r.Zn.imag >= z.imag - 1e-10
                 assert r.residual < 1e-10 * max(1, abs(r.Zn))
 
-    def test_divergence_reports_last_iterate(self):
+    def test_divergence_reports_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(subordination, "MAX_ITER", 3)
         with pytest.raises(FixedPointDiverged) as exc:
-            solve_Zn(bernoulli_measure(), 50, 1j, tol=1e-12, max_iter=3)
+            solve_Zn(bernoulli_measure(), 50, 1j)
         assert exc.value.last_iterate is not None
 
     def test_rejects_lower_half_plane(self):
@@ -67,16 +68,17 @@ class TestSolveZn:
 
 
 def _nan_prime(m):
-    """m as an explicit (G, G') source whose G' is NaN, so every Newton update
-    is NaN and each step is the guarded fallback; the list records the size
-    of every G' call."""
+    """m as an Evaluator whose G' is NaN, so every Newton update is NaN and
+    each step is the guarded fallback; the list records the size of every
+    G' call."""
     calls = []
+    G = transforms.as_evaluator(m).G
 
-    def Gp(z):
+    def G_with_prime(z):
         calls.append(np.size(z))
-        return np.full(np.shape(z), np.nan + 0j)
+        return G(z), np.full(np.shape(z), np.nan + 0j)
 
-    return (transforms.as_evaluator(m).G, Gp), calls
+    return transforms.Evaluator(G, G_with_prime), calls
 
 
 class TestNewton:
@@ -133,8 +135,7 @@ class TestNewton:
 
     def test_Zn_one_kernel_pass_per_iterate(self, monkeypatch):
         m, n = semicircle_measure(101).dilate(2), 4
-        calls = {"measure_cauchy": [], "measure_cauchy_prime": [],
-                 "measure_cauchy_with_prime": []}
+        calls = {"measure_cauchy": [], "measure_cauchy_with_prime": []}
 
         def recorded(fn, seen):
             def call(m, z):
@@ -147,31 +148,43 @@ class TestNewton:
         Zn, its, _ = solve_Zn_grid(m, n, self.Z, tol=1e-9)
         assert its > 1
         assert len(calls["measure_cauchy_with_prime"]) == its
-        assert len(calls["measure_cauchy_prime"]) == 0
         [final] = calls["measure_cauchy"]
         assert np.array_equal(final, Zn)
 
     def test_power_transform_one_solve_per_point_array(self, monkeypatch):
         solved = []
-        solve = subordination.solve_Zn_grid
+        solve = subordination._subordinator
 
-        def counted(source, n, z, *args, **kwargs):
+        def counted(G_with_prime, n, z, tol):
             solved.append(np.array(z))
-            return solve(source, n, z, *args, **kwargs)
+            return solve(G_with_prime, n, z, tol)
 
-        monkeypatch.setattr(subordination, "solve_Zn_grid", counted)
+        evaluated = {"measure_cauchy": [], "measure_cauchy_with_prime": []}
+
+        def recorded(fn, seen):
+            def call(m, z):
+                seen.append(np.array(z).tobytes())
+                return fn(m, z)
+            return call
+
+        monkeypatch.setattr(subordination, "_subordinator", counted)
+        for name, seen in evaluated.items():
+            monkeypatch.setattr(transforms, name, recorded(getattr(transforms, name), seen))
         voiculescu(power_transform(semicircle_measure(401), 2), 10j)
         assert len(solved) == 3
         assert len({z.tobytes() for z in solved}) == 3
+        # G at Z_n comes from the one (G, G') pass there, not a second pass
+        assert not set(evaluated["measure_cauchy"]) & set(evaluated["measure_cauchy_with_prime"])
 
-    def test_divergence_reports_full_shape(self):
+    def test_divergence_reports_full_shape(self, monkeypatch):
         m = bernoulli_measure()
         z = (np.linspace(-3, 3, 12) + 0.01j).reshape(3, 4)
+        monkeypatch.setattr(subordination, "MAX_ITER", 2)
         with pytest.raises(FixedPointDiverged) as exc:
-            solve_Zn_grid(m, 4096, z, max_iter=2)
+            solve_Zn_grid(m, 4096, z)
         assert exc.value.last_iterate.shape == z.shape
         with pytest.raises(FixedPointDiverged) as exc:
-            solve_pair_grid(m, m, z, max_iter=2)
+            solve_pair_grid(m, m, z)
         Z1, Z2 = exc.value.last_iterate
         assert Z1.shape == z.shape and Z2.shape == z.shape
 
@@ -252,9 +265,19 @@ class TestSolvePair:
         with pytest.raises(NotUpperHalfPlane):
             solve_pair(bernoulli_measure(), bernoulli_measure(), z)
 
-    def test_divergence_reports_last_iterate(self):
+    def test_stops_at_the_rounding_floor(self):
+        # Z2 = z - Z1 + F1(Z1) cancels terms of size 100 next to the pole of
+        # F2 at 1.2, so |F1 - F2| floors near eps |Z1| |F2'(Z2)|, about 1e-10
+        b1 = make_atomic([(0.0, 0.7), (1.0, 0.3)])
+        b2 = make_atomic([(0.0, 0.6), (2.0, 0.4)])
+        Z1, Z2 = solve_pair(b1, b2, 1.505 + 5e-3j)
+        assert Z1 == pytest.approx(-74.2936001195 + 75.0064001192j, abs=1e-8)
+        assert Z2 == pytest.approx(1.2063998805 + 0.0064001195j, abs=1e-8)
+
+    def test_divergence_reports_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(subordination, "MAX_ITER", 1)
         with pytest.raises(FixedPointDiverged) as exc:
-            solve_pair(bernoulli_measure(), bernoulli_measure(), 1j, max_iter=1)
+            solve_pair(bernoulli_measure(), bernoulli_measure(), 1j)
         Z1, Z2 = exc.value.last_iterate
         assert np.ndim(Z1) == 0 and np.ndim(Z2) == 0
         assert Z1.imag > 1.0 and Z2.imag > 1.0

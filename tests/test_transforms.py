@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 import freeconv
 
-from freeconv.errors import (InversionDiverged, NotCentered,
+from freeconv.errors import (CauchyVanishes, InversionDiverged, NotCentered,
                              NotUpperHalfPlane)
 from freeconv.inversion import kolmogorov, measure_to_cdf
 from freeconv.measures import (bernoulli_measure, from_density, make_atomic,
                                semicircle_measure)
 from freeconv.ncpart import moments_to_cumulants
-from freeconv.transforms import (as_evaluator, c1_index, cauchy,
-                                 measure_cauchy, measure_cauchy_prime,
+from freeconv.transforms import (Evaluator, _measure_transform, as_evaluator,
+                                 c1_index, cauchy, measure_cauchy,
                                  measure_cauchy_with_prime,
                                  nevanlinna_sigma, newton_invert,
                                  reciprocal_cauchy, voiculescu)
@@ -104,6 +104,13 @@ class TestReciprocalCauchy:
         assert cauchy(m, z) * reciprocal_cauchy(m, z) == pytest.approx(1.0,
                                                                        abs=1e-12)
 
+    @pytest.mark.parametrize("G", [np.zeros_like, lambda z: 2.0 / z],
+                             ids=["vanishes", "im_F_below_im_z"])
+    def test_refuses_non_probability_source(self, G):
+        # G = 2/z is the transform of mass 2 at 0: F = z/2 has Im F < Im z
+        with pytest.raises(CauchyVanishes):
+            reciprocal_cauchy(Evaluator(G, None), np.array([1j, 0.5 + 2j]))
+
 
 class TestC1Index:
     def test_dirac_is_zero(self):
@@ -154,14 +161,11 @@ class TestVoiculescu:
 
 
 def _bounded_pair():
-    """(G, G') with F = 1/G = i|w|/(1 + |w|), bounded, and F' taken as 1."""
+    """Evaluator with F = 1/G = i|w|/(1 + |w|), bounded, and F' taken as 1."""
     def G(w):
         return (1 + abs(w)) / (1j * abs(w))
 
-    def Gp(w):
-        return -G(w) ** 2
-
-    return G, Gp
+    return Evaluator(G, lambda w: (G(w), -G(w) ** 2))
 
 
 class TestNewtonInvert:
@@ -408,7 +412,7 @@ class TestDensityKernel:
 
     def test_derivative_matches_mpmath(self, kernel_case):
         m, zs, (_, Gp) = kernel_case
-        err = np.abs(measure_cauchy_prime(m, zs) - Gp) / np.abs(Gp)
+        err = np.abs(measure_cauchy_with_prime(m, zs)[1] - Gp) / np.abs(Gp)
         assert err.max() < 1e-13
 
     def test_pointwise_independent_of_batch(self, kernel_case):
@@ -421,7 +425,7 @@ class TestDensityKernel:
 
 @pytest.mark.parametrize("name", [*_kernel_inputs(), "atoms_and_jumps"])
 def test_one_pass_equals_separate_passes(name):
-    """(G, G') from one pass is measure_cauchy and measure_cauchy_prime bit
+    """(G, G') from one pass is G alone (measure_cauchy) and G' alone bit
     for bit: Laurent zone, far and near segments, at atoms, endpoint jumps."""
     if name == "atoms_and_jumps":
         unif = np.linspace(-1.0, 1.0, 201)       # p jumps at both ends
@@ -435,10 +439,10 @@ def test_one_pass_equals_separate_passes(name):
                                   + np.array([1e-9j, 1e-3j, 0.1 + 1e-2j])).ravel()])
     g, gp = measure_cauchy_with_prime(m, zs)
     assert np.array_equal(g, measure_cauchy(m, zs))
-    assert np.array_equal(gp, measure_cauchy_prime(m, zs))
+    assert np.array_equal(gp, _measure_transform(m, zs, (1,))[0])
     z = complex(zs[0])
     assert measure_cauchy_with_prime(m, z) == (measure_cauchy(m, z),
-                                               measure_cauchy_prime(m, z))
+                                               _measure_transform(m, z, (1,))[0])
 
 
 def test_rates_csv_independent_of_thread_counts(tmp_path):
