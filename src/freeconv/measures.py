@@ -289,14 +289,13 @@ def moment_vector(m: Measure, K: int) -> list[float]:
 def _wa_density(a: float, y):
     """Closed-form density sqrt(4 - (y - a)^2) / (2 pi (1 + a y)) of w_a.
 
-    It is set to 0 off the support and where 1 + a y vanishes, which happens
-    only at the edge y = -1 for a = 1 (the free Poisson law of rate 1).
+    It is 0 off the support.  The pole -1/a lies outside the open support,
+    so 1 + a y > 0 inside it; 1 + a y vanishes on the support only at the
+    edge y = -1/a for |a| = 1 (free Poisson of rate 1), where the root is 0.
     """
     y = np.asarray(y, dtype=float)
     root = 2.0 / (np.pi * 4.0) * np.sqrt(np.maximum(4.0 - (y - a) ** 2, 0.0))
-    den = 1.0 + a * y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den > 0, root / den, 0.0)
+    return root / np.maximum(1.0 + a * y, np.finfo(float).tiny)
 
 
 def _wa_grid_law(a: float, c: float, s: float, points: int) -> Measure:
@@ -309,16 +308,17 @@ def _wa_grid_law(a: float, c: float, s: float, points: int) -> Measure:
     """
     theta = np.linspace(0.0, np.pi, points)
     y = a - 2.0 * np.cos(theta)
-    atoms = [(c + s * (-1.0 / a), 1.0 - 1.0 / a**2)] if abs(a) > 1.0 else []
+    atoms = []
+    if abs(a) > 1.0:  # its image c - s/a is 0 up to rounding for free Poisson
+        x0 = c - s / a
+        atoms = [(0.0 if abs(x0) <= 1e-15 * abs(c) else x0, 1.0 - 1.0 / a**2)]
     return from_density(c + s * y, _wa_density(a, y) / s, atoms=atoms,
                         normalize=True)
 
 
-def semicircle_measure(points: int = 2001, radius: float = 2.0,
-                       mean: float = 0.0) -> Measure:
-    """Grid measure for the semicircle law of variance (radius/2)^2: the
-    image mean + (radius/2) W of W ~ w_0 on cosine-spaced nodes."""
-    return _wa_grid_law(0.0, mean, 0.5 * radius, points)
+def semicircle_measure(points: int = 2001) -> Measure:
+    """Grid measure for the standard semicircle law w_0 on cosine-spaced nodes."""
+    return _wa_grid_law(0.0, 0.0, 1.0, points)
 
 
 def bernoulli_measure() -> Measure:
