@@ -29,7 +29,6 @@ class ExperimentConfig:
     n_values: tuple
     grid: tuple = DEFAULT_GRID
     eta_schedule: tuple = DEFAULT_ETA
-    target: object = "meixner_auto"   # or an idlaws.FamilySpec
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_values)
@@ -95,11 +94,7 @@ def _rate_row(cfg: ExperimentConfig, xs, m3, n):
     mu_n = cfg.measure.dilate(np.sqrt(n))
     table = power_cdf(mu_n, n, xs, cfg.eta_schedule)
     a_n = m3 / np.sqrt(n)
-    if cfg.target == "meixner_auto":
-        spec = idlaws.meixner_w(a_n)
-    else:
-        spec = cfg.target
-    G_ref, _ = idlaws.family_transform(spec)
+    G_ref, _ = idlaws.family_transform(idlaws.meixner_w(a_n))
     ref_table = stieltjes_cdf(G_ref, xs, cfg.eta_schedule)
     return a_n, kolmogorov(table, ref_table).distance
 

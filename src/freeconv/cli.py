@@ -16,6 +16,7 @@ from .errors import FixedPointDiverged, FreeconvError, InversionDiverged
 from .inversion import kolmogorov, load_cdf_csv
 
 NUMERICAL_ERRORS = (FixedPointDiverged, InversionDiverged)
+RATES_KEYS = frozenset({"measure", "n_values", "grid", "eta", "output_path"})
 
 
 class _UsageError(Exception):
@@ -139,17 +140,18 @@ def _cmd_idcheck(args) -> int:
 def _cmd_rates(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
-    measure = measures.from_json_dict(raw["measure"])
-    target = raw.get("target", "meixner_auto")
-    if isinstance(target, dict):
-        target = idlaws.FamilySpec(target["name"], dict(target.get("params", {})))
+    if not isinstance(raw, dict):
+        raise _UsageError("rates config must be a JSON object")
+    unknown = sorted(set(raw) - RATES_KEYS)
+    if unknown:
+        raise _UsageError(f"unknown rates config keys {unknown}; "
+                          f"expected keys from {sorted(RATES_KEYS)}")
     eta = _parse_eta(args.eta, default=tuple(raw.get("eta", bench.DEFAULT_ETA)))
     cfg = bench.ExperimentConfig(
-        measure=measure,
+        measure=measures.from_json_dict(raw["measure"]),
         n_values=tuple(raw["n_values"]),
         grid=tuple(raw.get("grid", bench.DEFAULT_GRID)),
         eta_schedule=eta,
-        target=target,
     )
     report = bench.run_rate_experiment(cfg)
     out = raw.get("output_path")

@@ -68,22 +68,25 @@ def _edge_sqrt(z, lo, hi):
 
 
 def _meixner_pair(a: float):
-    def G(z):
-        z = np.asarray(z, dtype=complex)
-        w = z - a
-        s = _edge_sqrt(w, -2.0, 2.0)
-        g = 1.0 / (a + 0.5 * (w + s))
-        _assert_branch(z, g)
-        return g
-
-    def Gp(z):
+    """(G, G_with_prime) of w_a; G_with_prime shares G's square root, with
+    G' = -(1 + w/S)/(2 F^2) for w = z - a, S = sqrt(w^2 - 4) and F = 1/G."""
+    def G_with_prime(z):
         z = np.asarray(z, dtype=complex)
         w = z - a
         s = _edge_sqrt(w, -2.0, 2.0)
         F = a + 0.5 * (w + s)
-        return -0.5 * (1.0 + w / s) / (F * F)
+        g = 1.0 / F
+        _assert_branch(z, g)
+        return g, -0.5 * (1.0 + w / s) / (F * F)
 
-    return G, Gp
+    def G(z):
+        z = np.asarray(z, dtype=complex)
+        w = z - a
+        g = 1.0 / (a + 0.5 * (w + _edge_sqrt(w, -2.0, 2.0)))
+        _assert_branch(z, g)
+        return g
+
+    return G, G_with_prime
 
 
 def _assert_branch(z, g):
@@ -111,15 +114,21 @@ def family_affine(spec: FamilySpec) -> tuple[float, float, float]:
 
 
 def family_transform(spec: FamilySpec):
-    """(G, G') closed-form evaluators for a family spec, from
-    G(z) = G_W((z - c)/s)/s and G'(z) = G_W'((z - c)/s)/s^2."""
+    """(G, G_with_prime) closed-form evaluators for a family spec, from
+    G(z) = G_W((z - c)/s)/s and G'(z) = G_W'((z - c)/s)/s^2; G_with_prime
+    returns (G, G') from one pass."""
     a, c, s = family_affine(spec)
-    G_W, Gp_W = _meixner_pair(a)
+    G_W, G_with_prime_W = _meixner_pair(a)
     # w_a itself skips the identity map, 17% of the rate reference tables' G time
     if (c, s) == (0.0, 1.0):
-        return G_W, Gp_W
+        return G_W, G_with_prime_W
+
+    def G_with_prime(z):
+        g, gp = G_with_prime_W((np.asarray(z, dtype=complex) - c) / s)
+        return g / s, gp / (s * s)
+
     return (lambda z: G_W((np.asarray(z, dtype=complex) - c) / s) / s,
-            lambda z: Gp_W((np.asarray(z, dtype=complex) - c) / s) / (s * s))
+            G_with_prime)
 
 
 def family_measure(spec: FamilySpec, points: int = 4001) -> Measure:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ScheduleTooShort
 from .measures import Measure
+from .transforms import measure_cauchy
 
 ATOM_CELL_THRESHOLD = 0.02
 REFINE_FACTOR = 16
@@ -247,22 +248,16 @@ def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
     atoms = _detect_atoms(g, xs, used[-1], row_min)
     gc = g
     if atoms:
-        pos = np.array([xs[j] for j, _ in atoms])
-        wts = np.array([w for _, w in atoms])
+        found = Measure(xs[[j for j, _ in atoms]], [w for _, w in atoms])
         for j, w in atoms:
             jumps[j] += w
-
-        def remove_atoms(z, gz):
-            return np.asarray(gz, dtype=complex) - \
-                np.sum(wts / (z[..., None] - pos), axis=-1)
 
         # integrate the continuous remainder; the detected point masses are
         # re-added as jumps below
         def gc(z):
-            z = np.asarray(z, dtype=complex)
-            return remove_atoms(z, g(z))
+            return g(z) - measure_cauchy(found, z)
 
-        row_min = remove_atoms(z_min, row_min)
+        row_min = row_min - measure_cauchy(found, z_min)
     rows = [gc(xs + 1j * eta) for eta in used[:-1]] + [row_min]
     per_eta = [_interval_masses(gc, xs, eta, row) for eta, row in zip(used, rows)]
     masses = sum(w * m for w, (m, _) in zip(weights, per_eta))
@@ -291,8 +286,6 @@ def measure_to_cdf(m: Measure) -> CdfTable:
     xs = np.unique(np.concatenate((m.atom_positions, m.grid)))
     if xs.size == 0:
         raise ValueError("empty measure")
-    if xs.size == 1:
-        xs = np.array([xs[0]])
     dens_cum = np.zeros(xs.size)
     if m.grid.size:
         h = np.diff(m.grid)

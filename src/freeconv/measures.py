@@ -81,57 +81,55 @@ class Measure:
 
     # -- elementary functionals -------------------------------------------
 
-    def mass(self) -> float:
-        total = float(self.atom_weights.sum())
+    def _integral(self, f):
+        """Integral of f: exact over the atoms, trapezoid over the density."""
+        total = np.sum(self.atom_weights * f(self.atom_positions))
         if self.grid.size:
-            total += float(np.trapezoid(self.density, self.grid))
+            total = total + np.trapezoid(f(self.grid) * self.density, self.grid)
         return total
+
+    def mass(self) -> float:
+        return float(self._integral(lambda x: 1.0))
 
     def is_atomic(self) -> bool:
         return self.grid.size == 0
 
     def moment(self, k: int) -> float:
-        """k-th raw moment, exact over atoms + trapezoid over the density."""
+        """k-th raw moment."""
         if k < 0 or k > MAX_MOMENT_ORDER:
             raise OrderTooLarge(f"moment order {k} not in [0, {MAX_MOMENT_ORDER}]")
-        total = float(np.sum(self.atom_weights * self.atom_positions**k))
-        if self.grid.size:
-            total += float(np.trapezoid(self.grid**k * self.density, self.grid))
-        return total
+        return float(self._integral(lambda x: x**k))
 
     def absolute_moment(self, d: float) -> float:
         """beta_d = integral of |x|^d."""
         if d <= 0 or d > MAX_MOMENT_ORDER:
             raise OrderTooLarge(f"absolute moment order {d} not in (0, {MAX_MOMENT_ORDER}]")
-        total = float(np.sum(self.atom_weights * np.abs(self.atom_positions)**d))
-        if self.grid.size:
-            total += float(np.trapezoid(np.abs(self.grid)**d * self.density, self.grid))
-        return total
+        return float(self._integral(lambda x: np.abs(x)**d))
 
     def variance(self) -> float:
         m1 = self.moment(1)
         return self.moment(2) - m1 * m1
 
+    def _split(self, N: float):
+        """Atoms and density restricted to [-N, N], and the mass outside it:
+        (positions, weights, grid, density, outside)."""
+        keep = np.abs(self.atom_positions) <= N
+        outside = float(np.sum(self.atom_weights[~keep]))
+        grid, dens = self.grid, self.density
+        if grid.size:
+            dens_mass = float(np.trapezoid(dens, grid))
+            grid, dens = _clip_density(grid, dens, N)
+            outside += dens_mass - float(np.trapezoid(dens, grid))
+        return self.atom_positions[keep], self.atom_weights[keep], grid, dens, outside
+
     def tail_mass(self, N: float) -> float:
         """Mass outside [-N, N]."""
         if N <= 0:
             raise ValueError("N must be positive")
-        out = float(np.sum(self.atom_weights[np.abs(self.atom_positions) > N]))
-        if self.grid.size:
-            inside = _clip_density(self.grid, self.density, N)
-            dens_mass = float(np.trapezoid(self.density, self.grid))
-            if inside is None:
-                out += dens_mass
-            else:
-                g_in, d_in = inside
-                out += dens_mass - float(np.trapezoid(d_in, g_in))
-        return min(max(out, 0.0), self.mass())
+        return min(max(self._split(N)[-1], 0.0), self.mass())
 
     def characteristic_function(self, t: float) -> complex:
-        val = complex(np.sum(self.atom_weights * np.exp(1j * t * self.atom_positions)))
-        if self.grid.size:
-            val += complex(np.trapezoid(np.exp(1j * t * self.grid) * self.density, self.grid))
-        return val
+        return complex(self._integral(lambda x: np.exp(1j * t * x)))
 
     # -- transformers ------------------------------------------------------
 
@@ -153,21 +151,7 @@ class Measure:
         """Move all mass outside [-N, N] to an atom at 0 (no renormalization)."""
         if N <= 0:
             raise ValueError("truncation radius must be positive")
-        keep = np.abs(self.atom_positions) <= N
-        pos = self.atom_positions[keep]
-        wts = self.atom_weights[keep]
-        moved = float(np.sum(self.atom_weights[~keep]))
-        grid, dens = self.grid, self.density
-        if self.grid.size:
-            dens_mass = float(np.trapezoid(self.density, self.grid))
-            inside = _clip_density(self.grid, self.density, N)
-            if inside is None:
-                moved += dens_mass
-                grid = np.empty(0)
-                dens = np.empty(0)
-            else:
-                grid, dens = inside
-                moved += dens_mass - float(np.trapezoid(dens, grid))
+        pos, wts, grid, dens, moved = self._split(N)
         if moved > 0:
             pos = np.append(pos, 0.0)
             wts = np.append(wts, moved)
@@ -191,25 +175,15 @@ class Measure:
 def _clip_density(grid, density, N):
     """Restrict a piecewise-linear density to [-N, N], interpolating at the cut.
 
-    Returns (grid, values) or None when the support misses [-N, N] entirely.
+    Returns (grid, values), both empty when the support misses [-N, N].
     """
     lo, hi = -float(N), float(N)
     if grid[-1] <= lo or grid[0] >= hi:
-        return None
-    xs = [x for x in grid if lo < x < hi]
-    if grid[0] < lo:
-        xs.insert(0, lo)
-    elif grid[0] >= lo:
-        xs.insert(0, float(grid[0]))
-    if grid[-1] > hi:
-        xs.append(hi)
-    elif grid[-1] <= hi:
-        xs.append(float(grid[-1]))
+        return np.empty(0), np.empty(0)
+    xs = [max(lo, float(grid[0])), *[x for x in grid if lo < x < hi],
+          min(hi, float(grid[-1]))]
     xs = np.unique(np.asarray(xs, dtype=float))
-    if xs.size < 2:
-        return None
-    vals = np.interp(xs, grid, density)
-    return xs, vals
+    return xs, np.interp(xs, grid, density)
 
 
 def _check_probability(m: Measure) -> Measure:

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (CauchyVanishes, InversionDiverged, NotCentered,
-                     NotUpperHalfPlane)
+                     NotUpperHalfPlane, OutOfRange)
 from .measures import Measure
 
 # Density part of G and G' (the atoms are summed directly).  Three zones:
@@ -135,14 +135,13 @@ class _DensityKernel:
             nu[k] = np.sum(h * (v0 * P + v1 * Q)) / ((k + 1) * (k + 2))
         return nu
 
-    def __call__(self, z, orders):
-        """G (order 0) and G' (order 1) of the density at a 1-d array z.
+    def __call__(self, z, prime):
+        """[G] of the density at a 1-d array z, or [G, G'] when prime.
 
-        Returns one array per entry of orders.  Each block of points builds
-        its distances, near-segment logarithms and Laurent powers once, and
-        every order is summed from them.
+        Each block of points builds its distances, near-segment logarithms
+        and Laurent powers once, and both are summed from them.
         """
-        out = [np.empty(z.shape, dtype=complex) for _ in orders]
+        out = [np.empty(z.shape, dtype=complex) for _ in range(1 + prime)]
         far = np.abs(z - self.center) > _LAURENT_RHO * self.radius
         for idx, step, fn in ((np.nonzero(far)[0], _BLOCK // (_LAURENT_ORDER + 1),
                                self._laurent),
@@ -151,23 +150,22 @@ class _DensityKernel:
             step = max(step, 1)
             for s in range(0, idx.size, step):
                 b = idx[s:s + step]
-                for o, v in zip(out, fn(z[b], orders)):
+                for o, v in zip(out, fn(z[b], prime)):
                     o[b] = v
         return out
 
-    def _laurent(self, z, orders):
+    def _laurent(self, z, prime):
         u = z - self.center
         w = np.empty((u.size, _LAURENT_ORDER + 1), dtype=complex)
         w[:, 0] = 1.0
         w[:, 1:] = (self.radius / u)[:, None]
         np.cumprod(w, axis=1, out=w)
-        out = []
-        for order in orders:
-            s = _rowdot(w, self.series[order])
-            out.append(s / u if order == 0 else s / (u * u))
+        out = [_rowdot(w, self.series[0]) / u]
+        if prime:
+            out.append(_rowdot(w, self.series[1]) / (u * u))
         return out
 
-    def _direct(self, z, orders):
+    def _direct(self, z, prime):
         x, y = z.real, z.imag
         y2 = (y * y)[:, None]
         dm = x[:, None] - self.tm
@@ -191,24 +189,19 @@ class _DensityKernel:
         Lr = 0.5 * np.log((dx0 * dx0 + yy) / (dx1 * dx1 + yy))
         Li = np.arctan2(-yi * h, dx0 * dx1 + yy)
         d = self.d[j]
+        # int (v0 + d (t - t0))/(z - t) dt = (v0 + d (z - t0)) L - (v1 - v0)
+        a, b = self.v0[j] + d * dx0, d * yi
+        near = [(a * Lr - b * Li - self.dv[j], a * Li + b * Lr)]
+        if prime:
+            near.append((d * Lr, d * Li))
         out = []
-        for order in orders:
-            wts = self.weights[order]
-            re = _rowdot(dx, wts)
-            im = -y * _rowdot(r, wts)
-            if order == 0:
-                # int (v0 + d (t - t0))/(z - t) dt = (v0 + d (z - t0)) L - (v1 - v0)
-                a, b = self.v0[j] + d * dx0, d * yi
-                near_re, near_im = a * Lr - b * Li - self.dv[j], a * Li + b * Lr
-            else:
-                near_re, near_im = d * Lr, d * Li
-            re += np.bincount(i, near_re, minlength=z.size)
-            im += np.bincount(i, near_im, minlength=z.size)
-            val = re + 1j * im
-            if order == 1:
-                for t, s in self.jumps:
-                    val += s / (z - t)
-            out.append(val)
+        for wts, (near_re, near_im) in zip(self.weights, near):
+            re = _rowdot(dx, wts) + np.bincount(i, near_re, minlength=z.size)
+            im = -y * _rowdot(r, wts) + np.bincount(i, near_im, minlength=z.size)
+            out.append(re + 1j * im)
+        if prime:
+            for t, s in self.jumps:
+                out[1] += s / (z - t)
         return out
 
 
@@ -221,35 +214,33 @@ def _density_kernel(m: Measure) -> _DensityKernel:
     return kernel
 
 
-def _measure_transform(m: Measure, z, orders):
-    """G (order 0) and G' (order 1), one value per entry of orders, from one
-    pass: atoms summed directly, density by kernel."""
+def _measure_transform(m: Measure, z, prime):
+    """[G], or [G, G'] when prime, from one pass: atoms summed directly,
+    density by kernel."""
     z = np.asarray(z, dtype=complex)
-    vals = [np.zeros(z.shape, dtype=complex) for _ in orders]
+    vals = [np.zeros(z.shape, dtype=complex) for _ in range(1 + prime)]
     if m.atom_positions.size:
         dz = z[..., None] - m.atom_positions
-        for val, order in zip(vals, orders):
-            if order == 0:
-                val += np.sum(m.atom_weights / dz, axis=-1)
-            else:
-                val -= np.sum(m.atom_weights / dz ** 2, axis=-1)
+        vals[0] += np.sum(m.atom_weights / dz, axis=-1)
+        if prime:
+            vals[1] -= np.sum(m.atom_weights / dz ** 2, axis=-1)
     if m.grid.size:
         kernel = _density_kernel(m)
         if kernel.size:
-            for val, part in zip(vals, kernel(z.ravel(), orders)):
+            for val, part in zip(vals, kernel(z.ravel(), prime)):
                 val += part.reshape(z.shape)
     return [val if val.shape else complex(val) for val in vals]
 
 
 def measure_cauchy(m: Measure, z):
     """G(z) = integral of 1/(z-t), to machine precision per atom and segment."""
-    return _measure_transform(m, z, (0,))[0]
+    return _measure_transform(m, z, False)[0]
 
 
 def measure_cauchy_with_prime(m: Measure, z):
     """(G(z), G'(z)) from one pass, G'(z) = -integral of 1/(z-t)^2; its G is
     measure_cauchy bit for bit."""
-    return tuple(_measure_transform(m, z, (0, 1)))
+    return tuple(_measure_transform(m, z, True))
 
 
 class Evaluator(NamedTuple):
@@ -267,8 +258,8 @@ class Evaluator(NamedTuple):
 def as_evaluator(source) -> Evaluator:
     """Normalize a transform source to an Evaluator.
 
-    Accepts an Evaluator, a Measure or an idlaws.FamilySpec, whose separate
-    closed-form G and G' the Evaluator calls in turn.
+    Accepts an Evaluator, a Measure or an idlaws.FamilySpec, whose
+    closed-form (G, G_with_prime) pair it wraps.
     """
     if isinstance(source, Evaluator):
         return source
@@ -278,8 +269,7 @@ def as_evaluator(source) -> Evaluator:
     from . import idlaws
 
     if isinstance(source, idlaws.FamilySpec):
-        G, Gp = idlaws.family_transform(source)
-        return Evaluator(G, lambda z: (G(z), Gp(z)))
+        return Evaluator(*idlaws.family_transform(source))
     raise TypeError(f"cannot interpret {source!r} as a transform source")
 
 
@@ -398,43 +388,19 @@ def voiculescu(source, z: complex) -> complex:
 
 
 def nevanlinna_sigma(m: Measure) -> Measure:
-    """Representing measure sigma of F(z) = z + int sigma(du)/(u-z).
+    """Representing measure sigma of F(z) = z + int sigma(du)/(u-z), for a
+    centered (else NotCentered), purely atomic (else OutOfRange) law.
 
-    Total mass equals the variance m_2 (the input must be centered).  For
-    purely atomic inputs sigma is computed exactly from the partial-fraction
-    structure of F; otherwise by Stieltjes inversion of z - F(z).
+    Its total mass is the variance m_2.  Its atoms sit at the poles of
+    F = 1/G, the zeros of G.  On each gap between neighbouring atoms
+    G = sum w_i/(z - x_i) falls from +inf to -inf, so it has exactly one zero
+    there; all gaps are bisected together, down to adjacent floats.  F has
+    residue 1/G'(r) < 0 at a zero r, so the sigma atom at r weighs 1/|G'(r)|.
     """
+    if not m.is_atomic():
+        raise OutOfRange("nevanlinna_sigma requires a purely atomic measure")
     if abs(m.moment(1)) > 1e-9:
         raise NotCentered("nevanlinna_sigma requires a centered measure")
-    if m.is_atomic():
-        return _atomic_sigma(m)
-    lo = float(m.grid[0]) if m.grid.size else 0.0
-    hi = float(m.grid[-1]) if m.grid.size else 0.0
-    if m.atom_positions.size:
-        lo = min(lo, float(m.atom_positions.min()))
-        hi = max(hi, float(m.atom_positions.max()))
-    xs = np.linspace(lo - 1.0, hi + 1.0, 2001)
-    eta1, eta2 = 0.02, 0.01
-    G, _ = as_evaluator(m)
-
-    def dens_at(eta):
-        z = xs + 1j * eta
-        g = z - 1.0 / G(z)    # Cauchy transform of sigma
-        return np.maximum(-g.imag / np.pi, 0.0)
-
-    d1, d2 = dens_at(eta1), dens_at(eta2)
-    dens = np.maximum((eta1 * d2 - eta2 * d1) / (eta1 - eta2), 0.0)
-    return Measure(grid=xs, density=dens)
-
-
-def _atomic_sigma(m: Measure) -> Measure:
-    """sigma of an atomic law: atoms at the poles of F = 1/G, the zeros of G.
-
-    On each gap between neighbouring atoms G = sum w_i/(z - x_i) falls from
-    +inf to -inf, so it has exactly one zero there; all gaps are bisected
-    together, down to adjacent floats.  F has residue 1/G'(r) < 0 at a zero
-    r, so the sigma atom at r weighs 1/|G'(r)|.
-    """
     pos, wts = m.atom_positions, m.atom_weights
     if pos.size == 1:
         return Measure()

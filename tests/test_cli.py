@@ -231,6 +231,25 @@ class TestRates:
         assert main(["rates", str(path)]) == 1
         assert capsys.readouterr().out == ""
 
+    # an unknown key, such as `target` or a misspelt `grid`, must not
+    # silently run another experiment
+    @pytest.mark.parametrize("key, value", [("target", "meixner_auto"),
+                                            ("grids", [-4.0, 4.0, 201])])
+    def test_unknown_config_key_is_refused(self, tmp_path, key, value, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"measure": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]},
+                                    "n_values": [4, 8], key: value}))
+        assert main(["rates", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(key) in captured.err
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(["measure", "n_values"]))
+        assert main(["rates", str(path)]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 1
