@@ -6,8 +6,8 @@ from .ncpart import (catalan, count_nc_blocks, cumulants_to_moments,
                      enumerate_nc, moments_to_cumulants)
 from .transforms import (c1_index, cauchy, nevanlinna_sigma, reciprocal_cauchy,
                          voiculescu)
-from .subordination import (boundary_curve, inverse_Zn, pair_cauchy,
-                            power_cauchy, solve_pair, solve_Zn)
+from .subordination import (boundary_curve, inverse_Zn, pair_transform,
+                            power_transform)
 from .inversion import (CdfTable, DistanceReport, kolmogorov, measure_to_cdf,
                         stieltjes_cdf, tail_smoothing_check)
 from .idlaws import (FamilySpec, family_measure, free_poisson,

@@ -52,6 +52,8 @@ class InversionDiverged(FreeconvError):
 
 
 class FixedPointDiverged(FreeconvError):
+    """last_iterate: Z_n of the input's shape for a power, (Z1, Z2) for a pair."""
+
     def __init__(self, message, last_iterate=None):
         super().__init__(message)
         self.last_iterate = last_iterate

@@ -22,7 +22,7 @@ from .transforms import measure_cauchy
 ATOM_CELL_THRESHOLD = 0.02
 REFINE_FACTOR = 16
 CELL_VARIATION = 0.25
-MASS_DEFICIT_WARN = 2e-2
+MASS_WARN = 2e-2
 DEFAULT_ETA = (0.04, 0.02, 0.01)
 
 
@@ -150,12 +150,17 @@ def _extrapolation_weights(schedule):
     return np.linalg.solve(V.T, e0), len(schedule) - etas.size
 
 
+def _trapezoid_cells(xs, row):
+    """The density -Im row / pi, floored at 0, and its endpoint-trapezoid
+    mass on each cell of xs."""
+    dens = np.maximum(-np.imag(row) / np.pi, 0.0)
+    return dens, 0.5 * np.diff(xs) * (dens[:-1] + dens[1:])
+
+
 def _interval_masses(g, xs, eta, row):
     """Interval masses at one eta level, and the mask of the cells refined;
     row holds g(xs + i eta)."""
-    dens = np.maximum(-np.imag(row) / np.pi, 0.0)
-    h = np.diff(xs)
-    masses = 0.5 * h * (dens[:-1] + dens[1:])
+    dens, masses = _trapezoid_cells(xs, row)
     # On cells no wider than eta the endpoint trapezoid is kept even where it
     # is a poor quadrature of the smoothed density: on a uniform grid its
     # aliasing error largely cancels the smoothing bias itself.  Cells WIDER
@@ -165,7 +170,7 @@ def _interval_masses(g, xs, eta, row):
     lo = np.minimum(dens[:-1], dens[1:])
     hi = np.maximum(dens[:-1], dens[1:])
     floor = 1e-9 * float(dens.max(initial=0.0))
-    flagged = (hi - lo > CELL_VARIATION * lo + floor) & (h > eta)
+    flagged = (hi - lo > CELL_VARIATION * lo + floor) & (np.diff(xs) > eta)
     _refine_cells(g, xs, eta, masses, np.nonzero(flagged)[0])
     return masses, flagged
 
@@ -191,11 +196,9 @@ def _detect_atoms(g, xs, eta, row):
     candidate is accepted only when that estimate accounts for at least half
     of the concentrated run's mass; resolved steep densities fail this and
     stay continuous, as do atoms farther than about eta from every node.
-    row holds g(xs + i eta).  Returns a list of (node_index, weight).
+    row holds g(xs + i eta), read for A(eta).  Returns [(node_index, weight)].
     """
-    dens = np.maximum(-np.imag(row) / np.pi, 0.0)
-    h = np.diff(xs)
-    cell = 0.5 * h * (dens[:-1] + dens[1:])
+    _, cell = _trapezoid_cells(xs, row)
     heavy = np.nonzero(cell > ATOM_CELL_THRESHOLD)[0]
     atoms = []
     for grp in np.split(heavy, np.nonzero(np.diff(heavy) > 2)[0] + 1):
@@ -203,9 +206,8 @@ def _detect_atoms(g, xs, eta, row):
             continue
         lo = max(grp[0] - 1, 0)
         hi = min(grp[-1] + 2, xs.size - 1)
-        cand = xs[lo:hi + 1]
-        a1 = -eta * np.imag(g(cand + 1j * eta))
-        a2 = -2.0 * eta * np.imag(g(cand + 2j * eta))
+        a1 = -eta * np.imag(row[lo:hi + 1])
+        a2 = -2.0 * eta * np.imag(g(xs[lo:hi + 1] + 2j * eta))
         w_est = 2.0 * a1 - a2
         j = int(np.argmax(w_est))
         # the endpoint trapezoid overshoots badly across a spike, so the
@@ -227,8 +229,8 @@ def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
     and strictly decreasing (else ScheduleTooShort).  Interval masses at the
     smallest eta levels are extrapolated to eta = 0 (linearly for a two-level
     schedule; with an extra sqrt(eta) term for three, which handles
-    square-root density edges), cumulated and clipped to [0, 1].  A mass
-    deficit above MASS_DEFICIT_WARN is warned about.
+    square-root density edges), cumulated and clipped to [0, 1].  A total
+    that misses 1 by more than MASS_WARN before the clip is warned about.
 
     Only the last three levels (two for a two-level schedule) are evaluated:
     with eta_schedule (0.1, 0.05, 0.02, 0.01), g is never called at 0.1.
@@ -271,13 +273,16 @@ def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
     masses = np.maximum(masses, 0.0)
     cont = np.concatenate(([0.0], np.cumsum(masses)))   # mass strictly below node k
     values = cont + np.cumsum(jumps)                    # F(x_k+)
+    total = values[-1]
     values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
     left = np.clip(values - jumps, 0.0, 1.0)            # F(x_k-)
     left = np.maximum(left, np.concatenate(([0.0], values[:-1])))
-    deficit = 1.0 - values[-1]
-    if deficit > MASS_DEFICIT_WARN:
-        warnings.warn(f"inversion grid lost {deficit:.3g} of 1 total mass; "
+    if 1.0 - total > MASS_WARN:
+        warnings.warn(f"inversion grid lost {1.0 - total:.3g} of 1 total mass; "
                       "widen the grid or refine the eta schedule", stacklevel=2)
+    elif total - 1.0 > MASS_WARN:
+        warnings.warn(f"inversion table exceeds 1 total mass by {total - 1.0:.3g}; "
+                      "refine the grid or the eta schedule", stacklevel=2)
     return CdfTable(xs, values, left)
 
 

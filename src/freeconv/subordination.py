@@ -12,8 +12,6 @@ Converged points leave the active set and are not evaluated again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import FixedPointDiverged, NotCentered
@@ -24,14 +22,6 @@ MAX_ITER = 10_000
 # relative tolerance of the solvers' stopping tests; bench.power_cdf passes
 # a looser one to solve_Zn_grid
 TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SubordinationResult:
-    z: complex
-    Zn: complex
-    iterations: int
-    residual: float
 
 
 def _guarded_newton(step, z, w, floor, tol, what):
@@ -108,21 +98,6 @@ def solve_Zn_grid(source, n: int, z, tol: float = TOL):
     return Zn, it, G(Zn)
 
 
-def solve_Zn(source, n: int, z: complex) -> SubordinationResult:
-    """Solve z = n Z - (n-1) F(Z) for the unique Z with Im Z >= Im z."""
-    zz = np.asarray(complex(z), dtype=complex)
-    Zn, its, g = solve_Zn_grid(source, n, zz)
-    residual = np.abs(zz - n * Zn + (n - 1) * (1.0 / g))
-    return SubordinationResult(z=complex(z), Zn=complex(Zn),
-                               iterations=its, residual=float(residual))
-
-
-def power_cauchy(source, n: int, z):
-    """Cauchy transform of the n-fold free convolution power at z."""
-    _, _, out = solve_Zn_grid(source, n, require_upper(z))
-    return out if np.ndim(z) else complex(out)
-
-
 def power_transform(source, n: int) -> Evaluator:
     """Evaluator of the n-fold convolution power, via subordination.
 
@@ -152,29 +127,15 @@ def inverse_Zn(source, n: int, z):
     return out if np.ndim(out) else complex(out)
 
 
-def solve_pair_grid(m1, m2, z):
-    """Vectorized two-function subordination:
-    z = Z1 + Z2 - F1(Z1) and F1(Z1) = F2(Z2); returns (Z1, G1(Z1)).
-
-    Z1 is the unknown and Z2 = z - Z1 + F1(Z1), so the first relation holds
-    exactly and Im Z2 >= Im z, because Im F1(w) >= Im w.  Newton's method in
-    Z1 solves F1(Z1) - F2(Z2) = 0, with the sweep Z1 <- z - Z2 + F2(Z2) as
-    the guarded fallback step.  A point stops when the residual
-    |F2(Z2) - F1(Z1)| of the second relation is at most
-    TOL * max(1, |Z1|, |Z2|) * (1 + |F2'(Z2)|).  The last factor is the
-    rounding floor of that residual near a pole of F2, where a rounding of
-    Z2 moves F2 by |F2'(Z2)| times as much; it is taken as 1 where F2' is
-    not finite.
-    """
+def _pair_subordinator(e1: Evaluator, e2: Evaluator, z):
+    """Z1 of the pair subordination at the points z (see solve_pair_grid)."""
     z = require_upper(z)
-    G1, G1_with_prime = as_evaluator(m1)
-    G2_with_prime = as_evaluator(m2).G_with_prime
 
     def step(Z1, z):
-        g1, g1p = G1_with_prime(Z1)
+        g1, g1p = e1.G_with_prime(Z1)
         f1, f1p = 1.0 / g1, -g1p / (g1 * g1)
         Z2 = z - Z1 + f1
-        g2, g2p = G2_with_prime(Z2)
+        g2, g2p = e2.G_with_prime(Z2)
         f2, f2p = 1.0 / g2, -g2p / (g2 * g2)
         phi = f1 - f2
         r = np.abs(phi)
@@ -191,22 +152,52 @@ def solve_pair_grid(m1, m2, z):
                                 "pair subordination")
     except FixedPointDiverged as exc:
         Z1 = exc.last_iterate
-        exc.last_iterate = (Z1, z - Z1 + 1.0 / G1(Z1))
+        exc.last_iterate = (Z1, z - Z1 + 1.0 / e1.G(Z1))
         raise
-    return Z1, G1(Z1)
+    return Z1
 
 
-def solve_pair(m1, m2, z: complex) -> tuple[complex, complex]:
-    """Two-function subordination at a single point; returns (Z1, Z2)."""
-    zz = np.asarray(complex(z), dtype=complex)
-    Z1, g1 = solve_pair_grid(m1, m2, zz)
-    return complex(Z1), complex(zz - Z1 + 1.0 / g1)
+def solve_pair_grid(m1, m2, z):
+    """Vectorized two-function subordination:
+    z = Z1 + Z2 - F1(Z1) and F1(Z1) = F2(Z2); returns (Z1, G1(Z1)).
+
+    Z1 is the unknown and Z2 = z - Z1 + F1(Z1), so the first relation holds
+    exactly and Im Z2 >= Im z, because Im F1(w) >= Im w.  Newton's method in
+    Z1 solves F1(Z1) - F2(Z2) = 0, with the sweep Z1 <- z - Z2 + F2(Z2) as
+    the guarded fallback step.  A point stops when the residual
+    |F2(Z2) - F1(Z1)| of the second relation is at most
+    TOL * max(1, |Z1|, |Z2|) * (1 + |F2'(Z2)|).  The last factor is the
+    rounding floor of that residual near a pole of F2, where a rounding of
+    Z2 moves F2 by |F2'(Z2)| times as much; it is taken as 1 where F2' is
+    not finite.
+    """
+    e1 = as_evaluator(m1)
+    Z1 = _pair_subordinator(e1, as_evaluator(m2), z)
+    return Z1, e1.G(Z1)
 
 
-def pair_cauchy(m1, m2, z):
-    """Cauchy transform of m1 boxplus m2 at z (scalar or array)."""
-    _, out = solve_pair_grid(m1, m2, np.asarray(z, dtype=complex))
-    return out if np.ndim(z) else complex(out)
+def pair_transform(m1, m2) -> Evaluator:
+    """Evaluator of m1 boxplus m2, via subordination.
+
+    G = G1 o Z1.  Differentiating Z1 + Z2 = z + F and F1(Z1) = F2(Z2) = F
+    gives Z1' = F2'(Z2) / (F1' + F2' - F1' F2'), the denominator of the
+    pair solver's Newton step, so G' = G1'(Z1) Z1' comes from one solve and
+    one (G, G') pass of each law; with m1 = m2 it is power_transform's n = 2.
+    """
+    e1, e2 = as_evaluator(m1), as_evaluator(m2)
+
+    def G(z):
+        return solve_pair_grid(m1, m2, np.asarray(z, dtype=complex))[1]
+
+    def G_with_prime(z):
+        z = np.asarray(z, dtype=complex)
+        Z1 = _pair_subordinator(e1, e2, z)
+        g1, g1p = e1.G_with_prime(Z1)
+        g2, g2p = e2.G_with_prime(z - Z1 + 1.0 / g1)
+        f1p, f2p = -g1p / (g1 * g1), -g2p / (g2 * g2)
+        return g1, g1p * f2p / (f1p + f2p - f1p * f2p)
+
+    return Evaluator(G, G_with_prime)
 
 
 BISECT_TOL = 1e-10

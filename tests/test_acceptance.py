@@ -19,9 +19,8 @@ from freeconv.inversion import stieltjes_cdf
 from freeconv.measures import bernoulli_measure, make_atomic, semicircle_measure
 from freeconv.ncpart import (catalan, count_nc_blocks, cumulants_to_moments,
                              enumerate_nc, moments_to_cumulants)
-from freeconv.subordination import (boundary_curve, power_cauchy,
-                                    power_transform, solve_Zn_grid)
-from freeconv.transforms import c1_index, voiculescu
+from freeconv.subordination import boundary_curve, power_transform, solve_Zn_grid
+from freeconv.transforms import c1_index, cauchy, voiculescu
 
 
 def report(num, ok, detail):
@@ -73,7 +72,7 @@ def test_criterion_03_semicircle_power_oracle():
     for n in (2, 4, 16):
         ref = (zs - np.sqrt(zs - 2 * np.sqrt(n))
                * np.sqrt(zs + 2 * np.sqrt(n))) / (2 * n)
-        got = power_cauchy(sc, n, zs)
+        got = cauchy(power_transform(sc, n), zs)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     report(3, worst < 1e-8,
            f"n-fold semicircle power vs closed form, max error {worst:.2e}")
@@ -82,7 +81,7 @@ def test_criterion_03_semicircle_power_oracle():
 def test_criterion_04_arcsine_oracle():
     m = bernoulli_measure()
     xs = np.linspace(-2.5, 2.5, 2001)
-    table = stieltjes_cdf(lambda z: power_cauchy(m, 2, z), xs,
+    table = stieltjes_cdf(lambda z: cauchy(power_transform(m, 2), z), xs,
                           (0.004, 0.002, 0.001))
     ref = 0.5 + np.arcsin(np.clip(xs, -2, 2) / 2) / np.pi
     sup = float(np.max(np.abs(table.values - ref)))

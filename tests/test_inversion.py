@@ -7,8 +7,9 @@ from freeconv.inversion import (CdfTable, kolmogorov, load_cdf_csv,
                                 measure_to_cdf, stieltjes_cdf,
                                 tail_smoothing_check)
 from freeconv.measures import bernoulli_measure, make_atomic, semicircle_measure
-from freeconv.subordination import pair_cauchy, power_cauchy
-from freeconv.transforms import as_evaluator
+from freeconv.bench import pair_cdf
+from freeconv.subordination import pair_transform
+from freeconv.transforms import as_evaluator, cauchy
 
 
 def delta(x):
@@ -108,7 +109,7 @@ class TestStieltjesCdf:
     def test_bernoulli_square_is_arcsine(self):
         m = bernoulli_measure()
         xs = np.linspace(-2.5, 2.5, 2001)
-        t = stieltjes_cdf(lambda z: pair_cauchy(m, m, z), xs,
+        t = stieltjes_cdf(lambda z: cauchy(pair_transform(m, m), z), xs,
                           (0.004, 0.002, 0.001))
         assert np.max(np.abs(t.values - arcsine_cdf(xs))) < 5e-3
 
@@ -147,7 +148,7 @@ class TestStieltjesCdf:
 
         xs = np.linspace(-3.0, 3.0, 31)
         t = stieltjes_cdf(g, xs)
-        assert sum(points) == 1986
+        assert sum(points) == 1965
         assert np.max(np.abs(t.values - semicircle_cdf(xs))) < 5e-3
 
     def test_mass_deficit_warns(self):
@@ -155,6 +156,13 @@ class TestStieltjesCdf:
         xs = np.linspace(-0.5, 0.5, 101)      # misses most of the support
         with pytest.warns(UserWarning, match="mass"):
             stieltjes_cdf(G, xs, (0.02, 0.01))
+
+    def test_mass_excess_warns(self):
+        # this pair's table totals 1.0806 before the clip
+        a = make_atomic([(-0.7485, 0.3605), (-0.1185, 0.5024), (2.4017, 0.1371)])
+        b = make_atomic([(-0.5224, 0.7856), (1.9141, 0.2144)])
+        with pytest.warns(UserWarning, match="exceeds 1 total mass by 0.0806"):
+            pair_cdf(a, b, np.linspace(-2.2709, 5.3158, 2001))
 
 
 class TestInversionConsistency:
@@ -228,8 +236,8 @@ class TestTriangleProperty:
             mu = make_atomic([(p[0], w1), (p[1], 1 - w1)])
             mup = make_atomic([(q[0], w2), (q[1], 1 - w2)])
             base = kolmogorov(measure_to_cdf(mu), measure_to_cdf(mup)).distance
-            ta = stieltjes_cdf(lambda z: pair_cauchy(mu, nu, z), xs, (0.02, 0.01))
-            tb = stieltjes_cdf(lambda z: pair_cauchy(mup, nu, z), xs, (0.02, 0.01))
+            ta = stieltjes_cdf(lambda z: cauchy(pair_transform(mu, nu), z), xs, (0.02, 0.01))
+            tb = stieltjes_cdf(lambda z: cauchy(pair_transform(mup, nu), z), xs, (0.02, 0.01))
             assert kolmogorov(ta, tb).distance <= base + 5e-3
 
 

@@ -11,7 +11,8 @@ every power and pair of atomic laws, against which
   bounds today's Stieltjes inversion meets (the tables overshoot mass 1
   before their clip, which moves their moments by up to several percent);
 * the solvers are checked without any inversion, through the Laurent series
-  G(z) = sum_k m_k z^(-k-1) at |z| = 30.
+  G(z) = sum_k m_k z^(-k-1) and G'(z) = -sum_k (k+1) m_k z^(-k-2) at
+  |z| = 30.
 """
 
 import numpy as np
@@ -23,7 +24,8 @@ from freeconv.bench import pair_cdf, power_cdf
 from freeconv.inversion import measure_to_cdf
 from freeconv.measures import bernoulli_measure, make_atomic
 from freeconv.ncpart import cumulants_to_moments, moments_to_cumulants
-from freeconv.subordination import pair_cauchy, power_cauchy
+from freeconv.subordination import pair_transform, power_transform
+from freeconv.transforms import cauchy
 
 # bounds on |table moment - exact moment| / sd^k, k = 1..4 (sd of the
 # convolved law), that today's tables meet on 300 random draws of the laws
@@ -131,22 +133,35 @@ def laurent(moments, z):
     return np.sum(m[:, None] / z ** np.arange(1, m.size + 1)[:, None], axis=0)
 
 
+def laurent_prime(moments, z):
+    """-sum_{k <= LAURENT_K} (k+1) m_k z^(-k-2), with m_0 = 1."""
+    m = np.concatenate(([1.0], moments))
+    k = np.arange(m.size)[:, None]
+    return -np.sum((k + 1) * m[:, None] / z ** (k + 2), axis=0)
+
+
 class TestLaurentSeries:
     """At |z| = 30 the series truncated after m_30 is exact to rounding: the
     supports below lie within |x| < 8.2 (the power n = 16), and
-    (8.2/30)^31 < 1e-17."""
+    (8.2/30)^31 < 1e-17, times 32 for G'."""
 
     @pytest.mark.parametrize("n", [2, 4, 16])
     def test_power_cauchy(self, n):
-        want = laurent(power_moments(FIVE_ATOMS, n, LAURENT_K), ZS)
-        got = power_cauchy(FIVE_ATOMS, n, ZS)
-        assert np.max(np.abs(got / want - 1.0)) < 1e-13
+        moments = power_moments(FIVE_ATOMS, n, LAURENT_K)
+        law = power_transform(FIVE_ATOMS, n)
+        got = cauchy(law, ZS)
+        assert np.max(np.abs(got / laurent(moments, ZS) - 1.0)) < 1e-13
+        _, got_prime = law.G_with_prime(ZS)
+        assert np.max(np.abs(got_prime / laurent_prime(moments, ZS) - 1.0)) < 1e-13
 
     @pytest.mark.parametrize("pair", ["two_point", "five_atoms_bernoulli"])
     def test_pair_cauchy(self, pair):
         a, b = {"two_point": (make_atomic([(0.0, 0.7), (1.0, 0.3)]),
                               make_atomic([(0.0, 0.6), (2.0, 0.4)])),
                 "five_atoms_bernoulli": (FIVE_ATOMS, bernoulli_measure())}[pair]
-        want = laurent(pair_moments(a, b, LAURENT_K), ZS)
-        got = pair_cauchy(a, b, ZS)
-        assert np.max(np.abs(got / want - 1.0)) < 1e-13
+        moments = pair_moments(a, b, LAURENT_K)
+        law = pair_transform(a, b)
+        got = cauchy(law, ZS)
+        assert np.max(np.abs(got / laurent(moments, ZS) - 1.0)) < 1e-13
+        _, got_prime = law.G_with_prime(ZS)
+        assert np.max(np.abs(got_prime / laurent_prime(moments, ZS) - 1.0)) < 1e-13

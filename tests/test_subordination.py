@@ -4,9 +4,9 @@ import pytest
 from freeconv import idlaws, subordination, transforms
 from freeconv.errors import FixedPointDiverged, NotCentered, NotUpperHalfPlane
 from freeconv.measures import bernoulli_measure, make_atomic, semicircle_measure
-from freeconv.subordination import (boundary_curve, inverse_Zn, pair_cauchy,
-                                    power_cauchy, power_transform, solve_pair,
-                                    solve_pair_grid, solve_Zn, solve_Zn_grid)
+from freeconv.subordination import (boundary_curve, inverse_Zn, pair_transform,
+                                    power_transform, solve_pair_grid,
+                                    solve_Zn_grid)
 from freeconv.transforms import cauchy, voiculescu
 
 SEMI = idlaws.semicircle()
@@ -19,6 +19,12 @@ def delta(x):
     return make_atomic([(x, 1.0)])
 
 
+def pair_at(m1, m2, z):
+    """(Z1, Z2) of the pair solver at z, with Z2 = z - Z1 + F1(Z1)."""
+    Z1, g1 = solve_pair_grid(m1, m2, z)
+    return Z1, z - Z1 + 1.0 / g1
+
+
 def semicircle_power_G(n, z):
     z = np.asarray(z, dtype=complex)
     s = np.sqrt(z - 2 * np.sqrt(n)) * np.sqrt(z + 2 * np.sqrt(n))
@@ -28,39 +34,39 @@ def semicircle_power_G(n, z):
 class TestSolveZn:
     def test_n1_is_identity(self):
         for z in (1j, 2 + 0.5j):
-            assert solve_Zn(bernoulli_measure(), 1, z).Zn == z
+            assert solve_Zn_grid(bernoulli_measure(), 1, z)[0] == z
 
     def test_dirac_is_identity(self):
         for n in (2, 7):
-            r = solve_Zn(delta(0.0), n, 1 + 2j)
-            assert r.Zn == pytest.approx(1 + 2j, abs=1e-10)
+            Zn, _, _ = solve_Zn_grid(delta(0.0), n, 1 + 2j)
+            assert Zn == pytest.approx(1 + 2j, abs=1e-10)
 
     def test_semicircle_n2_at_i(self):
-        r = solve_Zn(SEMI, 2, 1j)
-        assert r.Zn == pytest.approx(1.5j, abs=1e-10)
-        assert r.residual < 1e-10
+        Zn, _, g = solve_Zn_grid(SEMI, 2, 1j)
+        assert Zn == pytest.approx(1.5j, abs=1e-10)
+        assert abs(1j - 2 * Zn + 1.0 / g) < 1e-10
 
     def test_result_invariants(self):
         for z in (0.3 + 0.2j, -2 + 1j, 5j):
             for n in (2, 10):
-                r = solve_Zn(bernoulli_measure(), n, z)
-                assert r.Zn.imag >= z.imag - 1e-10
-                assert r.residual < 1e-10 * max(1, abs(r.Zn))
+                Zn, _, g = solve_Zn_grid(bernoulli_measure(), n, z)
+                assert Zn.imag >= z.imag - 1e-10
+                assert abs(z - n * Zn + (n - 1) / g) < 1e-10 * max(1, abs(Zn))
 
     def test_divergence_reports_last_iterate(self, monkeypatch):
         monkeypatch.setattr(subordination, "MAX_ITER", 3)
         with pytest.raises(FixedPointDiverged) as exc:
-            solve_Zn(bernoulli_measure(), 50, 1j)
+            solve_Zn_grid(bernoulli_measure(), 50, 1j)
         assert exc.value.last_iterate is not None
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(NotUpperHalfPlane):
-            solve_Zn(bernoulli_measure(), 2, 1 - 1j)
+            solve_Zn_grid(bernoulli_measure(), 2, 1 - 1j)
 
     @NON_FINITE
     def test_rejects_non_finite(self, z):
         with pytest.raises(NotUpperHalfPlane):
-            solve_Zn(bernoulli_measure(), 4, z)
+            solve_Zn_grid(bernoulli_measure(), 4, z)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -112,22 +118,22 @@ class TestNewton:
         m = bernoulli_measure()
         source, calls = _nan_prime(m)
         for z in (0.3 + 0.2j, -2 + 1j, 5j):
-            want = solve_Zn(m, 8, z)
+            want, want_its, _ = solve_Zn_grid(m, 8, z)
             calls.clear()
-            got = solve_Zn(source, 8, z)
-            assert got.Zn == pytest.approx(want.Zn, abs=1e-10)
+            got, got_its, _ = solve_Zn_grid(source, 8, z)
+            assert got == pytest.approx(want, abs=1e-10)
             # one NaN G' per iterate, and the self-map is slower than Newton
-            assert len(calls) == got.iterations > want.iterations
+            assert len(calls) == got_its > want_its
 
     def test_pair_fallback_without_derivative(self):
         m1 = bernoulli_measure()
         m2 = make_atomic([(-0.5, 0.25), (0.0, 0.5), (1.0, 0.25)])
         (s1, calls1), (s2, calls2) = _nan_prime(m1), _nan_prime(m2)
         for z in (0.3 + 0.8j, 1j, -1 + 0.1j):
-            w1, w2 = solve_pair(m1, m2, z)
+            w1, w2 = pair_at(m1, m2, z)
             calls1.clear()
             calls2.clear()
-            Z1, Z2 = solve_pair(s1, s2, z)
+            Z1, Z2 = pair_at(s1, s2, z)
             assert Z1 == pytest.approx(w1, abs=1e-10)
             assert Z2 == pytest.approx(w2, abs=1e-10)
             # both NaN derivatives are taken at every iterate
@@ -197,7 +203,7 @@ class TestMassIdentity:
         # -Re[iy (Z_n(iy) - iy + (n-1) m1)] approaches (n-1) * variance
         m1, var = m.moment(1), m.variance()
         for y in (1e3, 1e4):
-            Zn = solve_Zn(m, n, 1j * y).Zn
+            Zn, _, _ = solve_Zn_grid(m, n, 1j * y)
             got = -np.real(1j * y * (Zn - 1j * y + (n - 1) * m1))
             assert got == pytest.approx((n - 1) * var, rel=10 / y)
 
@@ -205,16 +211,16 @@ class TestMassIdentity:
 class TestPowerCauchy:
     def test_n1_is_cauchy(self):
         m = bernoulli_measure()
-        assert power_cauchy(m, 1, 2j) == pytest.approx(cauchy(m, 2j))
+        assert cauchy(power_transform(m, 1), 2j) == pytest.approx(cauchy(m, 2j))
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("y", [1.0, 3.0])
     def test_semicircle_power_closed_form(self, n, y):
-        got = power_cauchy(SEMI, n, 1j * y)
+        got = cauchy(power_transform(SEMI, n), 1j * y)
         assert got == pytest.approx(semicircle_power_G(n, 1j * y), abs=1e-8)
 
     def test_bernoulli_square_is_arcsine(self):
-        got = power_cauchy(bernoulli_measure(), 2, 1j)
+        got = cauchy(power_transform(bernoulli_measure(), 2), 1j)
         assert got == pytest.approx(-1j / np.sqrt(5), abs=1e-8)
 
     @pytest.mark.parametrize("n", [2, 8])
@@ -223,7 +229,7 @@ class TestPowerCauchy:
         m = bernoulli_measure()
         x = 4.0 * (n - 1) * (1 + 1) * (1 + 1)
         for sign in (1, -1):
-            g = power_cauchy(m, n, sign * x + 1e-6j)
+            g = cauchy(power_transform(m, n), sign * x + 1e-6j)
             assert abs(g.imag) < 1e-6
 
 
@@ -231,20 +237,36 @@ class TestSolvePair:
     def test_symmetric_pair_matches_power(self):
         m = bernoulli_measure()
         for z in (1j, 0.7 + 0.4j):
-            Z1, Z2 = solve_pair(m, m, z)
-            Zn = solve_Zn(m, 2, z).Zn
+            Z1, Z2 = pair_at(m, m, z)
+            Zn, _, _ = solve_Zn_grid(m, 2, z)
             assert Z1 == pytest.approx(Zn, abs=1e-9)
             assert Z2 == pytest.approx(Zn, abs=1e-9)
+            # G' = G1'(Z1) F2'(Z2) / (F1' + F2' - F1' F2') is 1/(2 - F') here
+            got = pair_transform(m, m).G_with_prime(z)
+            want = power_transform(m, 2).G_with_prime(z)
+            assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("pair", ["bernoulli_semicircle401", "two_point_bernoulli",
+                                      "two_point_semicircle"])
+    def test_voiculescu_additivity(self, pair):
+        two_point = make_atomic([(-0.5, 0.8), (2.0, 0.2)])
+        a, b = {"bernoulli_semicircle401": (bernoulli_measure(), semicircle_measure(401)),
+                "two_point_bernoulli": (two_point, bernoulli_measure()),
+                "two_point_semicircle": (two_point, SEMI)}[pair]
+        law = pair_transform(a, b)
+        for y in (10.0, 20.0, 50.0, 100.0):
+            got = voiculescu(law, 1j * y)
+            assert abs(got - voiculescu(a, 1j * y) - voiculescu(b, 1j * y)) < 1e-6
 
     def test_dirac_shifts(self):
         m = semicircle_measure(501)
         a = 0.8
         for z in (2j, 1 + 1j):
-            Z1, Z2 = solve_pair(delta(a), m, z)
+            Z1, Z2 = pair_at(delta(a), m, z)
             assert Z2 == pytest.approx(z - a, abs=1e-9)
 
     def test_two_diracs(self):
-        Z1, Z2 = solve_pair(delta(0.0), delta(0.0), 0.5 + 2j)
+        Z1, Z2 = pair_at(delta(0.0), delta(0.0), 0.5 + 2j)
         assert Z1 == pytest.approx(0.5 + 2j, abs=1e-10)
         assert Z2 == pytest.approx(0.5 + 2j, abs=1e-10)
 
@@ -253,7 +275,7 @@ class TestSolvePair:
         m1 = bernoulli_measure()
         m2 = make_atomic([(-0.5, 0.25), (0.0, 0.5), (1.0, 0.25)])
         z = 0.3 + 0.8j
-        Z1, Z2 = solve_pair(m1, m2, z)
+        Z1, Z2 = pair_at(m1, m2, z)
         F1 = reciprocal_cauchy(m1, Z1)
         F2 = reciprocal_cauchy(m2, Z2)
         assert abs(z - (Z1 + Z2 - F1)) < 1e-9
@@ -263,27 +285,27 @@ class TestSolvePair:
     @NON_FINITE
     def test_rejects_non_finite(self, z):
         with pytest.raises(NotUpperHalfPlane):
-            solve_pair(bernoulli_measure(), bernoulli_measure(), z)
+            solve_pair_grid(bernoulli_measure(), bernoulli_measure(), z)
 
     def test_stops_at_the_rounding_floor(self):
         # Z2 = z - Z1 + F1(Z1) cancels terms of size 100 next to the pole of
         # F2 at 1.2, so |F1 - F2| floors near eps |Z1| |F2'(Z2)|, about 1e-10
         b1 = make_atomic([(0.0, 0.7), (1.0, 0.3)])
         b2 = make_atomic([(0.0, 0.6), (2.0, 0.4)])
-        Z1, Z2 = solve_pair(b1, b2, 1.505 + 5e-3j)
+        Z1, Z2 = pair_at(b1, b2, 1.505 + 5e-3j)
         assert Z1 == pytest.approx(-74.2936001195 + 75.0064001192j, abs=1e-8)
         assert Z2 == pytest.approx(1.2063998805 + 0.0064001195j, abs=1e-8)
 
     def test_divergence_reports_last_iterate(self, monkeypatch):
         monkeypatch.setattr(subordination, "MAX_ITER", 1)
         with pytest.raises(FixedPointDiverged) as exc:
-            solve_pair(bernoulli_measure(), bernoulli_measure(), 1j)
+            solve_pair_grid(bernoulli_measure(), bernoulli_measure(), 1j)
         Z1, Z2 = exc.value.last_iterate
         assert np.ndim(Z1) == 0 and np.ndim(Z2) == 0
         assert Z1.imag > 1.0 and Z2.imag > 1.0
 
     def test_pair_cauchy_bernoulli_square(self):
-        got = pair_cauchy(bernoulli_measure(), bernoulli_measure(), 1j)
+        got = cauchy(pair_transform(bernoulli_measure(), bernoulli_measure()), 1j)
         assert got == pytest.approx(-1j / np.sqrt(5), abs=1e-8)
 
 
@@ -302,7 +324,7 @@ class TestInverseZn:
     @pytest.mark.parametrize("n", [2, 8])
     @pytest.mark.parametrize("z", [1j, 1 + 2j])
     def test_composition(self, m, n, z):
-        Zn = solve_Zn(m, n, z).Zn
+        Zn, _, _ = solve_Zn_grid(m, n, z)
         assert inverse_Zn(m, n, Zn) == pytest.approx(z, abs=1e-8)
 
 
