@@ -16,7 +16,10 @@ from .errors import (CauchyVanishes, InversionDiverged, NotCentered,
                      NotUpperHalfPlane, OutOfRange)
 from .measures import Measure
 
-# Density part of G and G' (the atoms are summed directly).  Three zones:
+# Atoms: _atom_sums puts them on axis 0 and points in blocks of _BLOCK
+# elements, and sums each point left to right over the float view (numpy sums
+# a lone complex column pairwise).  Up to 3 atoms that is numpy's order over
+# (points, atoms) as well, so those laws keep its bits.  Density, in 3 zones:
 #
 # * far points, |z - c| > _LAURENT_RHO * R about the centre c and half-width R
 #   of the density's support, use the Laurent series
@@ -214,16 +217,27 @@ def _density_kernel(m: Measure) -> _DensityKernel:
     return kernel
 
 
+def _atom_sums(pos, wts, z, prime):
+    """[sum w/(z - x)], with -sum w/(z - x)^2 when prime, at a 1-d z."""
+    out = np.empty((1 + prime, z.size), dtype=z.dtype)
+    step, wts = max(_BLOCK // pos.size, 1), wts[:, None]
+    for s in range(0, z.size, step):
+        dz = z[s:s + step] - pos[:, None]
+        out[0, s:s + step] = (wts / dz).view(float).sum(axis=0).view(z.dtype)
+        if prime:
+            out[1, s:s + step] = (-wts / dz ** 2).view(float).sum(axis=0).view(z.dtype)
+    return out
+
+
 def _measure_transform(m: Measure, z, prime):
-    """[G], or [G, G'] when prime, from one pass: atoms summed directly,
+    """[G], or [G, G'] when prime, from one pass: atoms by _atom_sums,
     density by kernel."""
     z = np.asarray(z, dtype=complex)
     vals = [np.zeros(z.shape, dtype=complex) for _ in range(1 + prime)]
     if m.atom_positions.size:
-        dz = z[..., None] - m.atom_positions
-        vals[0] += np.sum(m.atom_weights / dz, axis=-1)
-        if prime:
-            vals[1] -= np.sum(m.atom_weights / dz ** 2, axis=-1)
+        for val, part in zip(vals, _atom_sums(m.atom_positions, m.atom_weights,
+                                              z.ravel(), prime)):
+            val += part.reshape(z.shape)
     if m.grid.size:
         kernel = _density_kernel(m)
         if kernel.size:
@@ -407,8 +421,8 @@ def nevanlinna_sigma(m: Measure) -> Measure:
     lo, hi = pos[:-1], pos[1:]
     mid = 0.5 * (lo + hi)
     while np.any((lo < mid) & (mid < hi)):
-        above = np.sum(wts / (mid[:, None] - pos), axis=1) > 0
+        above = _atom_sums(pos, wts, mid, False)[0] > 0
         lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
         mid = 0.5 * (lo + hi)
-    weights = 1.0 / np.sum(wts / (mid[:, None] - pos) ** 2, axis=1)
+    weights = -1.0 / _atom_sums(pos, wts, mid, True)[1]
     return Measure(atom_positions=mid, atom_weights=weights)

@@ -2,6 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -274,12 +277,57 @@ class TestNevanlinnaSigma:
         assert sig.atom_positions.size == m.atom_positions.size - 1
         assert abs(sig.mass() - m.variance()) < 1e-9
 
+    def test_memory_is_bounded(self):
+        # 1500 atoms: summed as (gaps, atoms) arrays this peaks at 34 MiB,
+        # and bisecting 3000 atoms takes about 3 s
+        m = self.random_centered_law(1500, 0)
+        assert _peak_bytes(nevanlinna_sigma, m) < 8 * 2**20
+
     @pytest.mark.parametrize("k", [40, 80, 500])
     def test_atomic_zeros_interlace_atoms(self, k):
         m = self.random_centered_law(k, k)
         sig = nevanlinna_sigma(m)
         pos = m.atom_positions
         assert np.all((pos[:-1] < sig.atom_positions) & (sig.atom_positions < pos[1:]))
+
+
+def _peak_bytes(fn, *args):
+    """Peak memory that fn(*args) allocates, from tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _random_law(k, seed):
+    rng = np.random.default_rng(seed)
+    return make_atomic(list(zip(rng.uniform(-2.0, 2.0, k), rng.dirichlet(np.ones(k)))))
+
+
+class TestAtomSum:
+    @pytest.mark.parametrize("atoms", [[(-1.0, 0.5), (1.0, 0.5)],
+                                       [(-0.5, 0.8), (0.3, 0.05), (2.0, 0.15)]])
+    def test_left_to_right(self, atoms):
+        """G and G' of up to 3 atoms are the left-to-right sums bit for bit,
+        so the outputs of such laws do not depend on the block layout."""
+        m = make_atomic(atoms)
+        rng = np.random.default_rng(0)
+        z = rng.uniform(-3.0, 3.0, 12) + 1j * rng.uniform(1e-6, 2.0, 12)
+        G = reduce(add, [w / (z - x) for x, w in atoms])
+        Gp = -reduce(add, [w / (z - x) ** 2 for x, w in atoms])
+        for zz, g, gp in ((z, G, Gp), (z.reshape(3, 4), G.reshape(3, 4), Gp.reshape(3, 4)),
+                          (complex(z[5]), G[5], Gp[5])):
+            got = measure_cauchy_with_prime(m, zz)
+            assert np.array_equal(got[0], g) and np.array_equal(got[1], gp)
+            assert np.array_equal(measure_cauchy(m, zz), g)
+
+    def test_memory_is_bounded(self):
+        # an (atoms, points) array would take 2001 * 1e4 * 16 bytes = 305 MiB
+        m = _random_law(10_000, 0)
+        z = np.linspace(-4.0, 4.0, 2001) + 0.01j
+        assert _peak_bytes(measure_cauchy_with_prime, m, z) < 8 * 2**20
 
 
 def exact_moments(m, kmax):
@@ -377,12 +425,21 @@ def _kernel_inputs():
         "atoms_and_density": from_density(sc.grid, sc.density,
                                           atoms=[(-2.5, 0.2), (0.3, 0.1)],
                                           normalize=True),
+        # about 10 points per block of the atom sum, so the points span blocks
+        "atoms3000": _random_law(3000, 3),
     }
 
 
 def _kernel_points(m):
     """Points on and near the support down to Im z = 1e-4 R, on both sides of
-    the far-field switch |z - c| = 2R, and at Im z = 200."""
+    the far-field switch |z - c| = 2R, and at Im z = 200.  For an atomic law:
+    1e-4 and 1e-2 above some atoms, midway between neighbours, and far out."""
+    if not m.grid.size:
+        x = m.atom_positions
+        pick = np.linspace(0, x.size - 2, 7).astype(int)
+        near = (x[pick, None] + np.array([1e-4j, 1e-2j])).ravel()
+        mid = 0.5 * (x[pick] + x[pick + 1]) + 1e-6j
+        return np.concatenate([near, mid, [x.mean() + 200j]])
     lo, hi = m.grid[0], m.grid[-1]
     c, R = 0.5 * (lo + hi), 0.5 * (hi - lo)
     xs = np.array([lo - 0.1 * R, lo, m.grid[1], c - 0.37 * R, c, hi, hi + 0.1 * R])
