@@ -19,23 +19,36 @@ from .measures import Measure
 # Atoms: _atom_sums puts them on axis 0 and points in blocks of _BLOCK
 # elements, and sums each point left to right over the float view (numpy sums
 # a lone complex column pairwise).  Up to 3 atoms that is numpy's order over
-# (points, atoms) as well, so those laws keep its bits.  Density, in 3 zones:
+# (points, atoms) as well, so those laws keep its bits.  Density, in zones:
 #
-# * far points, |z - c| > _LAURENT_RHO * R about the centre c and half-width R
-#   of the density's support, use the Laurent series
+# * root: far points, |z - c| > _LAURENT_RHO * R about the centre c and
+#   half-width R of the density's support, use the Laurent series
 #   G(z) = sum_k nu_k R^k / (z - c)^(k+1), with nu_k = int ((t - c)/R)^k p(t) dt
 #   the exact moments of the piecewise-linear density;
-# * for the other points, a segment is far when its length is below
-#   _FAR_RATIO times its midpoint's distance to z.  Far segments are integrated
-#   with 6-node Gauss-Legendre, exact to machine precision in that regime,
-#   written as one weight vector over all nodes;
+# * panels: the segments are split into P contiguous panels, each with its own
+#   centre c_p, half-width R_p and exact moments.  For the other points, a
+#   panel with |z - c_p| > _LAURENT_RHO * R_p is summed by its own series, of
+#   the same order; each run of adjacent other panels is summed segment by
+#   segment, as follows;
+# * a segment is far when its length is below _FAR_RATIO times its midpoint's
+#   distance to z.  Far segments are integrated with 6-node Gauss-Legendre,
+#   exact to machine precision in that regime, written as one weight vector
+#   over all nodes;
 # * near segments use the closed-form integral, in real arithmetic.  It is not
 #   used for far segments, where it cancels catastrophically.
+#
+# P = round(sqrt(S/5)) for S segments minimizes the terms a point next to the
+# support sums, 60 P series terms plus the 6 S/P nodes of about two panels.
+# Below about 320 segments that is more than half of the 6 S nodes of all
+# segments, and P = 1: every such point sums all segments.
 #
 # G' is the Cauchy transform of the distributional derivative of p: the
 # piecewise-constant slope plus signed point masses where p jumps at the ends
 # of its grid.  This avoids 1/(z - t)^2, whose segment terms at a node nearly
-# cancel between the two adjacent segments.
+# cancel between the two adjacent segments.  A run of panels summed by
+# segments is the restriction of p to the run, which jumps at the run's two
+# ends: its G' gets those point masses too.  Inside a run the masses of two
+# neighbouring panels would cancel exactly, and are not added.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _FAR_RATIO = 0.1
 _LAURENT_RHO = 2.0
@@ -57,6 +70,17 @@ def _laurent_order(rho: float) -> int:
 
 
 _LAURENT_ORDER = _laurent_order(_LAURENT_RHO)
+
+
+def _panel_count(segments: int) -> int:
+    """P, from the terms a point next to the support sums: P series of
+    _LAURENT_ORDER + 1 terms and the 6 nodes of the segments of about two
+    panels.  P = 1 unless the optimum is at most half of 6 S."""
+    terms = _LAURENT_ORDER + 1
+    p = max(round((2 * _GL_NODES.size * segments / terms) ** 0.5), 1)
+    return p if p * terms + 2 * _GL_NODES.size * segments / p <= 3 * segments else 1
+
+
 # points per block are chosen so that each temporary array holds about this
 # many elements, which bounds memory and keeps the blocks in cache
 _BLOCK = 1 << 15
@@ -88,7 +112,8 @@ def _rowdot(a, w):
 
 
 class _DensityKernel:
-    """Set-up of the density part of one measure: segments, nodes, moments."""
+    """Set-up of the density part of one measure: segments, nodes, panels and
+    their moments."""
 
     def __init__(self, m: Measure):
         t0, t1 = m.grid[:-1], m.grid[1:]
@@ -99,7 +124,7 @@ class _DensityKernel:
         if not self.size:
             return
         h = t1 - t0
-        self.t0, self.t1, self.v0, self.dv = t0, t1, v0, v1 - v0
+        self.t0, self.t1, self.v0, self.v1, self.dv = t0, t1, v0, v1, v1 - v0
         self.h, self.d = h, (v1 - v0) / h
         self.tm = 0.5 * (t0 + t1)
         self.near_r2 = (h / _FAR_RATIO) ** 2
@@ -108,18 +133,38 @@ class _DensityKernel:
         self.nodes = (t0[:, None] + h[:, None] * u).ravel()
         self.weights = ((half_w * (v0[:, None] * (1.0 - u) + v1[:, None] * u)).ravel(),
                         (half_w * self.d[:, None]).ravel())
-        # jumps of p at the ends of its support, point masses of p'
-        self.jumps = [(t, s) for t, s in ((t0[0], v0[0]), (t1[-1], -v1[-1])) if s]
         lo, hi = float(t0[0]), float(t1[-1])
         self.center, self.radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nu = self._moments((t0 - self.center) / self.radius,
-                           (t1 - self.center) / self.radius, h, v0, v1)
+                           (t1 - self.center) / self.radius, h, v0, v1, np.sum)
         self.series = (nu.astype(complex),
                        (-np.arange(1, nu.size + 1) * nu).astype(complex))
+        # panel p holds the segments bounds[p] to bounds[p + 1] - 1
+        n = _panel_count(self.size)
+        self.bounds = np.linspace(0, self.size, n + 1).round().astype(int)
+        self.whole = self._run(0, n - 1)
+        self.step = _BLOCK // self.nodes.size
+        if n > 1:
+            self._panel_setup()
+
+    def _panel_setup(self):
+        """Each panel's centre, half-width and series coefficients, those of
+        the root series for the panel's restriction of p."""
+        bounds = self.bounds
+        a, b = self.t0[bounds[:-1]], self.t1[bounds[1:] - 1]
+        self.panel_center, self.panel_radius = 0.5 * (a + b), 0.5 * (b - a)
+        c, r = (np.repeat(v, np.diff(bounds)) for v in (self.panel_center,
+                                                         self.panel_radius))
+        nu = self._moments((self.t0 - c) / r, (self.t1 - c) / r, self.h, self.v0,
+                           self.v1, lambda t: np.add.reduceat(t, bounds[:-1])).T
+        self.panel_series = (nu.astype(complex),
+                             (-np.arange(1, _LAURENT_ORDER + 2) * nu).astype(complex))
+        self.step = _BLOCK // nu.size
 
     @staticmethod
-    def _moments(s0, s1, h, v0, v1):
-        """nu_k for k <= _LAURENT_ORDER, exact for the piecewise-linear density.
+    def _moments(s0, s1, h, v0, v1, total):
+        """nu_k for k <= _LAURENT_ORDER, exact for the piecewise-linear density,
+        with total summing the segments' terms.
 
         On a segment, int s^k p = h (v0 P_k + v1 Q_k) / ((k+1)(k+2)), where
         P_k = sum_j (k+1-j) s0^(k-j) s1^j and Q_k = sum_j (j+1) s0^(k-j) s1^j.
@@ -128,15 +173,14 @@ class _DensityKernel:
         """
         e = np.ones_like(s0)
         P, Q, s1k = e.copy(), e.copy(), e.copy()
-        nu = np.empty(_LAURENT_ORDER + 1)
-        nu[0] = np.sum(h * (v0 + v1)) / 2.0
+        nu = [total(h * (v0 + v1)) / 2.0]
         for k in range(1, _LAURENT_ORDER + 1):
             s1k *= s1
             e = s0 * e + s1k
             P = s0 * P + e
             Q = s1 * Q + e
-            nu[k] = np.sum(h * (v0 * P + v1 * Q)) / ((k + 1) * (k + 2))
-        return nu
+            nu.append(total(h * (v0 * P + v1 * Q)) / ((k + 1) * (k + 2)))
+        return np.array(nu)
 
     def __call__(self, z, prime):
         """[G] of the density at a 1-d array z, or [G, G'] when prime.
@@ -148,8 +192,7 @@ class _DensityKernel:
         far = np.abs(z - self.center) > _LAURENT_RHO * self.radius
         for idx, step, fn in ((np.nonzero(far)[0], _BLOCK // (_LAURENT_ORDER + 1),
                                self._laurent),
-                              (np.nonzero(~far)[0], _BLOCK // self.nodes.size,
-                               self._direct)):
+                              (np.nonzero(~far)[0], self.step, self._panelled)):
             step = max(step, 1)
             for s in range(0, idx.size, step):
                 b = idx[s:s + step]
@@ -168,24 +211,71 @@ class _DensityKernel:
             out.append(_rowdot(w, self.series[1]) / (u * u))
         return out
 
-    def _direct(self, z, prime):
+    def _panelled(self, z, prime):
+        """Far panels by their series, each run of adjacent other panels by
+        _segments."""
+        n = self.bounds.size - 1
+        if n == 1:
+            return self._segments(z, prime, self.whole)
+        u = z[:, None] - self.panel_center
+        far = np.abs(u) > _LAURENT_RHO * self.panel_radius
+        w = np.empty(u.shape + (_LAURENT_ORDER + 1,), dtype=complex)
+        w[..., 0] = 1.0
+        w[..., 1:] = np.where(far, self.panel_radius / u, 0.0)[..., None]
+        np.cumprod(w, axis=2, out=w)
+        out = [np.where(far, np.einsum("ipk,pk->ip", w, c) / uk, 0.0).sum(axis=1)
+               for c, uk in zip(self.panel_series[:1 + prime], (u, u * u))]
+        if far.all():
+            return out
+        # the runs: at rows[r], panels first[r] to last[r] are summed by
+        # segments, and the panels beyond them by series
+        direct = np.zeros((z.size, n + 2), dtype=np.int8)
+        direct[:, 1:-1] = ~far
+        rows, first = np.nonzero(direct[:, 1:] > direct[:, :-1])
+        last = np.nonzero(direct[:, 1:] < direct[:, :-1])[1] - 1
+        key = first * n + last
+        for k in np.unique(key):
+            run = self._run(*divmod(int(k), n))
+            at = rows[key == k]
+            step = max(_BLOCK // run[3].size, 1)
+            for s in range(0, at.size, step):
+                b = at[s:s + step]
+                for o, v in zip(out, self._segments(z[b], prime, run)):
+                    o[b] += v
+        return out
+
+    def _run(self, first, last):
+        """Panels first to last: the index of their first segment, views of
+        their segments' midpoints, near radii, nodes and weights, and their
+        two ends with the jumps there of p restricted to them."""
+        a, b = self.bounds[first], self.bounds[last + 1]
+        k = slice(_GL_NODES.size * a, _GL_NODES.size * b)
+        return (a, self.tm[a:b], self.near_r2[a:b], self.nodes[k],
+                [w[k] for w in self.weights],
+                ((self.t0[a], self.v0[a]), (self.t1[b - 1], -self.v1[b - 1])))
+
+    def _segments(self, z, prime, run):
+        """[G], or [G, G'] when prime, of the segments of a _run, with the
+        jumps at its ends in G'."""
+        start, tm, near_r2, tau, weights, ends = run
         x, y = z.real, z.imag
         y2 = (y * y)[:, None]
-        dm = x[:, None] - self.tm
-        i, j = np.nonzero(dm * dm + y2 <= self.near_r2)
+        dm = x[:, None] - tm
+        i, j = np.nonzero(dm * dm + y2 <= near_r2)
         # far segments: sum_k W_k / (z - tau_k) with the near ones zeroed.
         # dx and r share one allocation: glibc's trim threshold grows to twice
         # the largest block it has freed, so two such arrays freed together
         # can exceed it and have the heap trimmed and page-faulted anew at
         # every block, while one array of twice the size cannot
-        dx, r = np.empty((2, z.size, self.nodes.size))
-        np.subtract(x[:, None], self.nodes, out=dx)
+        dx, r = np.empty((2, z.size, tau.size))
+        np.subtract(x[:, None], tau, out=dx)
         np.multiply(dx, dx, out=r)
         r += y2
         np.reciprocal(r, out=r)
-        r.reshape(z.size, self.size, _GL_NODES.size)[i, j] = 0.0
+        r.reshape(z.size, -1, _GL_NODES.size)[i, j] = 0.0
         dx *= r
         # near segments: L = log((z - t0)/(z - t1)), exactly
+        j += start
         xi, yi, h = x[i], y[i], self.h[j]
         dx0, dx1 = xi - self.t0[j], xi - self.t1[j]
         yy = yi * yi
@@ -198,13 +288,14 @@ class _DensityKernel:
         if prime:
             near.append((d * Lr, d * Li))
         out = []
-        for wts, (near_re, near_im) in zip(self.weights, near):
+        for wts, (near_re, near_im) in zip(weights, near):
             re = _rowdot(dx, wts) + np.bincount(i, near_re, minlength=z.size)
             im = -y * _rowdot(r, wts) + np.bincount(i, near_im, minlength=z.size)
             out.append(re + 1j * im)
         if prime:
-            for t, s in self.jumps:
-                out[1] += s / (z - t)
+            for t, s in ends:
+                if s:
+                    out[1] += s / (z - t)
         return out
 
 
@@ -406,10 +497,16 @@ def nevanlinna_sigma(m: Measure) -> Measure:
     centered (else NotCentered), purely atomic (else OutOfRange) law.
 
     Its total mass is the variance m_2.  Its atoms sit at the poles of
-    F = 1/G, the zeros of G.  On each gap between neighbouring atoms
+    F = 1/G, the zeros of G.  On each gap (a, b) between neighbouring atoms
     G = sum w_i/(z - x_i) falls from +inf to -inf, so it has exactly one zero
-    there; all gaps are bisected together, down to adjacent floats.  F has
-    residue 1/G'(r) < 0 at a zero r, so the sigma atom at r weighs 1/|G'(r)|.
+    there.  All gaps are solved together, down to adjacent floats, by Newton
+    steps on G (x - a)(b - x), which has no pole in the gap, each kept inside
+    its bracket: a step that does not land strictly inside it is replaced by
+    the bracket's midpoint, except that one rounding back to its start where
+    G is not 0 moves one float towards the zero instead.  Every pass
+    evaluates every gap, so each G has the same bits as in a pass of plain
+    bisection, and the zero found is bisection's.  F has residue
+    1/G'(r) < 0 at a zero r, so the sigma atom at r weighs 1/|G'(r)|.
     """
     if not m.is_atomic():
         raise OutOfRange("nevanlinna_sigma requires a purely atomic measure")
@@ -418,11 +515,20 @@ def nevanlinna_sigma(m: Measure) -> Measure:
     pos, wts = m.atom_positions, m.atom_weights
     if pos.size == 1:
         return Measure()
-    lo, hi = pos[:-1], pos[1:]
-    mid = 0.5 * (lo + hi)
-    while np.any((lo < mid) & (mid < hi)):
-        above = _atom_sums(pos, wts, mid, False)[0] > 0
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    a, b = pos[:-1], pos[1:]
+    lo, hi = a, b
+    gp_lo = gp_hi = np.zeros(a.size)
+    x = 0.5 * (a + b)
+    while True:
+        g, gp = _atom_sums(pos, wts, x, True)
+        above = g > 0
+        lo, gp_lo = np.where(above, x, lo), np.where(above, gp, gp_lo)
+        hi, gp_hi = np.where(above, hi, x), np.where(above, gp_hi, gp)
         mid = 0.5 * (lo + hi)
-    weights = -1.0 / _atom_sums(pos, wts, mid, True)[1]
+        if not np.any((lo < mid) & (mid < hi)):
+            break
+        new = x - g / (gp + g * (1.0 / (x - a) + 1.0 / (x - b)))
+        new = np.where((new == x) & (g != 0), np.nextafter(x, np.where(above, hi, lo)), new)
+        x = np.where((lo < new) & (new < hi), new, mid)
+    weights = -1.0 / np.where(mid == lo, gp_lo, gp_hi)
     return Measure(atom_positions=mid, atom_weights=weights)

@@ -18,6 +18,7 @@ from freeconv.errors import (CauchyVanishes, InversionDiverged, NotCentered,
                              NotUpperHalfPlane, OutOfRange)
 from freeconv.measures import (bernoulli_measure, from_density, make_atomic,
                                semicircle_measure)
+from freeconv import transforms
 from freeconv.ncpart import moments_to_cumulants
 from freeconv.transforms import (Evaluator, as_evaluator,
                                  c1_index, cauchy, measure_cauchy,
@@ -278,8 +279,7 @@ class TestNevanlinnaSigma:
         assert abs(sig.mass() - m.variance()) < 1e-9
 
     def test_memory_is_bounded(self):
-        # 1500 atoms: summed as (gaps, atoms) arrays this peaks at 34 MiB,
-        # and bisecting 3000 atoms takes about 3 s
+        # 1500 atoms: summed as (gaps, atoms) arrays this peaks at 34 MiB
         m = self.random_centered_law(1500, 0)
         assert _peak_bytes(nevanlinna_sigma, m) < 8 * 2**20
 
@@ -289,6 +289,40 @@ class TestNevanlinnaSigma:
         sig = nevanlinna_sigma(m)
         pos = m.atom_positions
         assert np.all((pos[:-1] < sig.atom_positions) & (sig.atom_positions < pos[1:]))
+
+    @staticmethod
+    def bisected_sigma(m):
+        """Reference: every gap bisected down to adjacent floats, one pass
+        over all gaps per halving."""
+        pos, wts = m.atom_positions, m.atom_weights
+        lo, hi = pos[:-1], pos[1:]
+        mid = 0.5 * (lo + hi)
+        while np.any((lo < mid) & (mid < hi)):
+            above = transforms._atom_sums(pos, wts, mid, False)[0] > 0
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+            mid = 0.5 * (lo + hi)
+        return mid, -1.0 / transforms._atom_sums(pos, wts, mid, True)[1]
+
+    @pytest.mark.parametrize("k", [40, 80, 500])
+    def test_zeros_are_bisections(self, k):
+        m = self.random_centered_law(k, k)
+        sig = nevanlinna_sigma(m)
+        pos, wts = self.bisected_sigma(m)
+        assert np.array_equal(sig.atom_positions, pos)
+        assert np.array_equal(sig.atom_weights, wts)
+
+    def test_passes(self, monkeypatch):
+        # bisection takes 55 passes over the gaps here, and about 3 s
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return atom_sums(*args)
+
+        atom_sums = transforms._atom_sums
+        monkeypatch.setattr(transforms, "_atom_sums", counted)
+        nevanlinna_sigma(self.random_centered_law(3000, 0))
+        assert len(calls) <= 12
 
 
 def _peak_bytes(fn, *args):
@@ -430,10 +464,26 @@ def _kernel_inputs():
     }
 
 
+def _panel_points(m):
+    """For a law whose kernel has panels: 1e-4 R_p above three inner panel
+    edges, where two panels summed by segments meet, and on both sides of
+    the switch |z - c_p| = 2 R_p of three panels."""
+    kernel = transforms._density_kernel(m)
+    if kernel.bounds.size < 3:
+        return np.empty(0)
+    c, R = kernel.panel_center, kernel.panel_radius
+    pick = np.unique(np.linspace(1, R.size - 1, 3).astype(int))
+    edges = kernel.t0[kernel.bounds[pick]] + 1e-4j * R[pick]
+    ring = [c[p] + 2.0 * R[p] * (1.0 + s) * np.exp(1j * np.array([0.3, 2.0]))
+            for p in pick - 1 for s in (-1e-3, 1e-3)]
+    return np.concatenate([edges, *ring])
+
+
 def _kernel_points(m):
     """Points on and near the support down to Im z = 1e-4 R, on both sides of
-    the far-field switch |z - c| = 2R, and at Im z = 200.  For an atomic law:
-    1e-4 and 1e-2 above some atoms, midway between neighbours, and far out."""
+    the far-field switch |z - c| = 2R, at Im z = 200, and _panel_points.  For
+    an atomic law: 1e-4 and 1e-2 above some atoms, midway between
+    neighbours, and far out."""
     if not m.grid.size:
         x = m.atom_positions
         pick = np.linspace(0, x.size - 2, 7).astype(int)
@@ -446,7 +496,7 @@ def _kernel_points(m):
     near = (xs[:, None] + 1j * R * np.array([1e-4, 1e-2])).ravel()
     ring = np.concatenate([c + 2.0 * R * (1.0 + s) * np.exp(1j * np.array([0.3, 2.0]))
                            for s in (-1e-3, 1e-3)])
-    return np.concatenate([near, ring, [c + 0.5 * R + 200j]])
+    return np.concatenate([near, ring, [c + 0.5 * R + 200j], _panel_points(m)])
 
 
 @pytest.fixture(scope="module", params=list(_kernel_inputs()))
@@ -500,20 +550,86 @@ def test_one_pass_equals_separate_passes(name):
     assert measure_cauchy_with_prime(m, z)[0] == measure_cauchy(m, z)
 
 
+class _CountingNumpy:
+    """numpy, with the entries that np.einsum and np.log read counted."""
+
+    def __init__(self):
+        self.entries = {"complex": 0, "real": 0, "log": 0}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, subscripts, a, *args, **kwargs):
+        self.entries["complex" if np.iscomplexobj(a) else "real"] += a.size
+        return np.einsum(subscripts, a, *args, **kwargs)
+
+    def log(self, x, *args, **kwargs):
+        self.entries["log"] += np.size(x)
+        return np.log(x, *args, **kwargs)
+
+
+def _terms_per_point(m, z, monkeypatch):
+    """Terms a G pass sums per point: series terms (complex entries of the
+    dot products), segment nodes (real entries, each in two dot products,
+    for the real and imaginary parts) and closed forms (one log each).  A
+    (G, G') pass sums the same terms."""
+    counting = _CountingNumpy()
+    with monkeypatch.context() as patch:
+        patch.setattr(transforms, "np", counting)
+        measure_cauchy(m, z)
+    n = counting.entries
+    return (n["complex"] + n["real"] / 2 + n["log"]) / z.size
+
+
+def test_terms_per_point_grow_as_root_of_grid(monkeypatch):
+    """Next to the support, a point sums the P panels' series and the
+    segments of about two panels: about sqrt(S) terms, not 6 S."""
+    for points in (101, 201):
+        assert transforms._density_kernel(semicircle_measure(points)).bounds.size == 2
+    counts = []
+    for points in (201, 2001, 20001):
+        m = semicircle_measure(points)
+        z = np.linspace(m.grid[0], m.grid[-1], 52)[1:-1] + 1e-2j
+        counts.append(_terms_per_point(m, z, monkeypatch))
+    assert counts[2] / counts[1] <= 3.5
+    assert counts[1] < 6 * 2000 / 3
+
+
 def test_rates_csv_independent_of_thread_counts(tmp_path):
-    """The kernel's dot products must not depend on the BLAS thread count."""
+    """The kernel's dot products must not depend on the BLAS thread count:
+    the rates CSV of a law summed by segments alone, and G and G' of a
+    panelled law in every zone."""
     m = semicircle_measure(101)
     cfg = {"measure": m.to_json_dict(), "n_values": [2, 4, 8],
            "grid": [-4.0, 4.0, 201]}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    z = _panelled_zones()
+    panelled = ("import sys, numpy as np\n"
+                "from freeconv.measures import semicircle_measure\n"
+                "from freeconv.transforms import measure_cauchy_with_prime\n"
+                f"z = np.array({z.tolist()!r})\n"
+                "g, gp = measure_cauchy_with_prime(semicircle_measure(2001), z)\n"
+                "sys.stdout.write((g.tobytes() + gp.tobytes()).hex())\n")
     src = str(Path(freeconv.__file__).resolve().parents[1])
-    outputs = set()
-    for blas in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-m", "freeconv.cli", "rates",
-                              str(tmp_path / "cfg.json")],
-                             env=env, capture_output=True, text=True, check=True)
-        outputs.add(out.stdout)
-    assert len(outputs) == 1
-    assert outputs.pop().startswith("n,a_n,distance\n2,")
+
+    def output(*args):
+        outputs = set()
+        for blas in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            outputs.add(subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                                       text=True, check=True).stdout)
+        assert len(outputs) == 1
+        return outputs.pop()
+
+    assert output("-m", "freeconv.cli", "rates",
+                  str(tmp_path / "cfg.json")).startswith("n,a_n,distance\n2,")
+    assert len(output("-c", panelled)) == 2 * 2 * 16 * z.size     # hex of G, G'
+
+
+def _panelled_zones():
+    """Points for semicircle_measure(2001): root series, panel series only,
+    and panels summed by segments, with and without edge masses."""
+    m = semicircle_measure(2001)
+    x = np.linspace(-2.2, 2.2, 12)
+    return np.concatenate([x + 3j, x + 0.5j, x + 1e-2j, _panel_points(m)])
