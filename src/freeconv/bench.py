@@ -71,23 +71,41 @@ class RateReport:
             fh.write(self.to_csv())
 
 
-def power_cdf(source, n: int, xs, eta_schedule=DEFAULT_ETA):
-    """CDF table on xs of the n-fold free convolution power of source."""
+def _ladder(solve):
+    """The g of stieltjes_cdf from solve(z, start) -> (Z, G(Z)), a
+    subordinator solve.  The rows of np.atleast_2d(z) are solved in order,
+    each starting from the Z of the row before (the first from z + i): the
+    subordinator is continuous down to the real axis, so a row's Z at the
+    next smaller eta is a close start."""
 
     def g(z):
-        # 1e-9 is far below the distances being measured
-        return solve_Zn_grid(source, n, z, tol=1e-9)[2]
+        rows = np.atleast_2d(z)
+        out = np.empty(rows.shape, dtype=complex)
+        Z = None
+        for k, row in enumerate(rows):
+            Z, out[k] = solve(row, Z)
+        return out.reshape(np.shape(z))
 
-    return stieltjes_cdf(g, xs, eta_schedule)
+    return g
+
+
+def power_cdf(source, n: int, xs, eta_schedule=DEFAULT_ETA):
+    """CDF table on xs of the n-fold free convolution power of source, its
+    eta levels solved as one ladder."""
+
+    def solve(z, start):
+        # 1e-9 is far below the distances being measured
+        Zn, _, g = solve_Zn_grid(source, n, z, tol=1e-9, start=start)
+        return Zn, g
+
+    return stieltjes_cdf(_ladder(solve), xs, eta_schedule)
 
 
 def pair_cdf(m1, m2, xs, eta_schedule=DEFAULT_ETA):
-    """CDF table on xs of the free additive convolution of m1 and m2."""
-
-    def g(z):
-        return solve_pair_grid(m1, m2, z)[1]
-
-    return stieltjes_cdf(g, xs, eta_schedule)
+    """CDF table on xs of the free additive convolution of m1 and m2, its
+    eta levels solved as one ladder."""
+    return stieltjes_cdf(_ladder(lambda z, start: solve_pair_grid(m1, m2, z, start=start)),
+                         xs, eta_schedule)
 
 
 def _rate_row(cfg: ExperimentConfig, xs, m3, n):

@@ -137,6 +137,18 @@ def _cmd_idcheck(args) -> int:
     return 0
 
 
+def _config_list(raw, key, default, integer=False) -> tuple:
+    """raw[key] (default when absent; required when default is None) as a
+    tuple; refused unless it is a list of JSON numbers, or of integers."""
+    value = raw[key] if default is None else raw.get(key, default)
+    if not (isinstance(value, (list, tuple)) and all(
+            measures._is_number(v) and (isinstance(v, int) or not integer)
+            for v in value)):
+        what = "integers" if integer else "numbers"
+        raise _UsageError(f"rates config {key!r} must be a list of {what}")
+    return tuple(value)
+
+
 def _cmd_rates(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
@@ -146,15 +158,21 @@ def _cmd_rates(args) -> int:
     if unknown:
         raise _UsageError(f"unknown rates config keys {unknown}; "
                           f"expected keys from {sorted(RATES_KEYS)}")
-    eta = _parse_eta(args.eta, default=tuple(raw.get("eta", bench.DEFAULT_ETA)))
+    grid = _config_list(raw, "grid", bench.DEFAULT_GRID)
+    if len(grid) != 3 or not isinstance(grid[2], int):
+        raise _UsageError("rates config 'grid' must be [lo, hi, points] "
+                          "with an integer number of points")
+    out = raw.get("output_path")
+    if out is not None and not isinstance(out, str):
+        raise _UsageError("rates config 'output_path' must be a string")
     cfg = bench.ExperimentConfig(
         measure=measures.from_json_dict(raw["measure"]),
-        n_values=tuple(raw["n_values"]),
-        grid=tuple(raw.get("grid", bench.DEFAULT_GRID)),
-        eta_schedule=eta,
+        n_values=_config_list(raw, "n_values", None, integer=True),
+        grid=grid,
+        eta_schedule=_parse_eta(args.eta,
+                                default=_config_list(raw, "eta", bench.DEFAULT_ETA)),
     )
     report = bench.run_rate_experiment(cfg)
-    out = raw.get("output_path")
     if not out:
         sys.stdout.write(report.to_csv())
     else:

@@ -224,13 +224,17 @@ def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
     """Recover the CDF table of a probability measure from its Cauchy-transform
     evaluator g.
 
-    g maps complex arrays in the upper half plane to G values with
-    -Im G >= 0.  The eta schedule needs at least two levels, finite, positive
-    and strictly decreasing (else ScheduleTooShort).  Interval masses at the
-    smallest eta levels are extrapolated to eta = 0 (linearly for a two-level
-    schedule; with an extra sqrt(eta) term for three, which handles
-    square-root density edges), cumulated and clipped to [0, 1].  A total
-    that misses 1 by more than MASS_WARN before the clip is warned about.
+    g maps complex arrays in the upper half plane to G values of the same
+    shape, with -Im G >= 0.  It is called once on the (levels, nodes) array
+    xs + i eta of the evaluated levels, rows in schedule order (largest eta
+    first), so a g may solve each row from the one above; atom detection
+    and cell refinement call it on 1-d arrays.  The eta schedule needs at
+    least two levels, finite, positive and strictly decreasing (else
+    ScheduleTooShort).  Interval masses at the smallest eta levels are
+    extrapolated to eta = 0 (linearly for a two-level schedule; with an
+    extra sqrt(eta) term for three, which handles square-root density
+    edges), cumulated and clipped to [0, 1].  A total that misses 1 by more
+    than MASS_WARN before the clip is warned about.
 
     Only the last three levels (two for a two-level schedule) are evaluated:
     with eta_schedule (0.1, 0.05, 0.02, 0.01), g is never called at 0.1.
@@ -243,11 +247,11 @@ def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
     jumps = np.zeros(xs.size)
     weights, skip = _extrapolation_weights(schedule)
     used = schedule[skip:]
-    # each full-grid row is evaluated once; the smallest level's row also
-    # serves atom detection
-    z_min = xs + 1j * used[-1]
-    row_min = g(z_min)
-    atoms = _detect_atoms(g, xs, used[-1], row_min)
+    # all full-grid rows in one call, largest eta first; the smallest level's
+    # row also serves atom detection
+    z_rows = xs + 1j * np.asarray(used)[:, None]
+    rows = g(z_rows)
+    atoms = _detect_atoms(g, xs, used[-1], rows[-1])
     gc = g
     if atoms:
         found = Measure(xs[[j for j, _ in atoms]], [w for _, w in atoms])
@@ -259,8 +263,7 @@ def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
         def gc(z):
             return g(z) - measure_cauchy(found, z)
 
-        row_min = row_min - measure_cauchy(found, z_min)
-    rows = [gc(xs + 1j * eta) for eta in used[:-1]] + [row_min]
+        rows = rows - measure_cauchy(found, z_rows)
     per_eta = [_interval_masses(gc, xs, eta, row) for eta, row in zip(used, rows)]
     masses = sum(w * m for w, (m, _) in zip(weights, per_eta))
     # concentrated cells get a refined re-integration at every used level;

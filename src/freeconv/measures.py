@@ -225,17 +225,42 @@ def from_density(grid, values, atoms=(), normalize=False) -> Measure:
     return _check_probability(Measure(pos, wts, grid, values))
 
 
+def _is_number(v) -> bool:
+    # bool is an int subclass, but JSON true is no number
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_number, v))
+
+
 def from_json_dict(data: dict) -> Measure:
-    if "family" in data and data["family"]:
+    """Measure from its JSON form, {"family": {"name": ..., "params": {...}}}
+    or {"atoms": [[x, w], ...], "density": {"grid": [...], "values": [...]}}.
+    A field of another JSON type raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a measure must be a JSON object")
+    family = data.get("family")
+    if family:
+        params = family.get("params", {}) if isinstance(family, dict) else None
+        if not (isinstance(params, dict) and isinstance(family.get("name"), str)
+                and all(map(_is_number, params.values()))):
+            raise ValueError("measure 'family' must be an object with a string "
+                             "'name' and an object 'params' of numbers")
         from . import idlaws  # family resolution lives there
 
-        spec = idlaws.FamilySpec(data["family"]["name"],
-                                 dict(data["family"].get("params", {})))
-        return idlaws.family_measure(spec)
-    atoms = [(float(x), float(w)) for x, w in data.get("atoms", [])]
+        return idlaws.family_measure(idlaws.FamilySpec(family["name"], dict(params)))
+    atoms = data.get("atoms", [])
+    if not (isinstance(atoms, (list, tuple))
+            and all(_is_numbers(a) and len(a) == 2 for a in atoms)):
+        raise ValueError("measure 'atoms' must be a list of [position, weight] numbers")
     dens = data.get("density") or {}
-    grid = dens.get("grid", [])
-    values = dens.get("values", [])
+    grid = dens.get("grid", []) if isinstance(dens, dict) else None
+    values = dens.get("values", []) if isinstance(dens, dict) else None
+    if not (_is_numbers(grid) and _is_numbers(values)):
+        raise ValueError("measure 'density' must be an object with number lists "
+                         "'grid' and 'values'")
+    atoms = [(float(x), float(w)) for x, w in atoms]
     if grid:
         return from_density(grid, values, atoms=atoms)
     return make_atomic(atoms)

@@ -60,11 +60,26 @@ def _guarded_newton(step, z, w, floor, tol, what):
         last_iterate=out.reshape(shape))
 
 
-def _subordinator(G_with_prime, n: int, z, tol: float):
-    """Z_n at the points z of the upper half plane; returns (Zn, iterations)."""
+def _start(z, start):
+    """The solvers' first iterate: z + i, or start, which must have z's
+    shape and lie in the upper half plane."""
+    if start is None:
+        return z + 1j
+    start = require_upper(start)
+    if start.shape != z.shape:
+        raise ValueError(f"start has shape {start.shape}, z has {z.shape}")
+    return start
+
+
+def _subordinator(G_with_prime, n: int, z, tol: float, start=None):
+    """Z_n at the points z of the upper half plane; returns (Zn, iterations).
+
+    The iteration starts from start (default z + i); any valid start reaches
+    the same fixed point to the tolerance."""
     z = require_upper(z)
     if n < 1:
         raise ValueError("n must be a positive integer")
+    w = _start(z, start)
     if n == 1:
         return np.array(z, dtype=complex), 0
     c = (n - 1.0) / n
@@ -87,14 +102,17 @@ def _subordinator(G_with_prime, n: int, z, tol: float):
             newton = w + n * d / (n - (n - 1) * fp)
         return fixed, newton, n * size, done
 
-    return _guarded_newton(step, z, z + 1j, z.imag / n, tol,
+    return _guarded_newton(step, z, w, z.imag / n, tol,
                            "subordination fixed point")
 
 
-def solve_Zn_grid(source, n: int, z, tol: float = TOL):
-    """Vectorized subordination solve; returns (Zn, iterations, G(Zn))."""
+def solve_Zn_grid(source, n: int, z, tol: float = TOL, start=None):
+    """Vectorized subordination solve; returns (Zn, iterations, G(Zn)).
+
+    start is the first iterate, of z's shape in the upper half plane
+    (default z + i), such as Zn at the points just above z."""
     G, G_with_prime = as_evaluator(source)
-    Zn, it = _subordinator(G_with_prime, n, z, tol)
+    Zn, it = _subordinator(G_with_prime, n, z, tol, start)
     return Zn, it, G(Zn)
 
 
@@ -127,8 +145,9 @@ def inverse_Zn(source, n: int, z):
     return out if np.ndim(out) else complex(out)
 
 
-def _pair_subordinator(e1: Evaluator, e2: Evaluator, z):
-    """Z1 of the pair subordination at the points z (see solve_pair_grid)."""
+def _pair_subordinator(e1: Evaluator, e2: Evaluator, z, start=None):
+    """Z1 of the pair subordination at the points z (see solve_pair_grid),
+    starting from start (default z + i)."""
     z = require_upper(z)
 
     def step(Z1, z):
@@ -148,7 +167,7 @@ def _pair_subordinator(e1: Evaluator, e2: Evaluator, z):
         return z - Z2 + f2, newton, r, r <= TOL * scale
 
     try:
-        Z1, _ = _guarded_newton(step, z, z + 1j, np.zeros(z.shape), TOL,
+        Z1, _ = _guarded_newton(step, z, _start(z, start), np.zeros(z.shape), TOL,
                                 "pair subordination")
     except FixedPointDiverged as exc:
         Z1 = exc.last_iterate
@@ -157,7 +176,7 @@ def _pair_subordinator(e1: Evaluator, e2: Evaluator, z):
     return Z1
 
 
-def solve_pair_grid(m1, m2, z):
+def solve_pair_grid(m1, m2, z, start=None):
     """Vectorized two-function subordination:
     z = Z1 + Z2 - F1(Z1) and F1(Z1) = F2(Z2); returns (Z1, G1(Z1)).
 
@@ -169,10 +188,11 @@ def solve_pair_grid(m1, m2, z):
     TOL * max(1, |Z1|, |Z2|) * (1 + |F2'(Z2)|).  The last factor is the
     rounding floor of that residual near a pole of F2, where a rounding of
     Z2 moves F2 by |F2'(Z2)| times as much; it is taken as 1 where F2' is
-    not finite.
+    not finite.  The iteration starts from start, of z's shape in the upper
+    half plane (default z + i).
     """
     e1 = as_evaluator(m1)
-    Z1 = _pair_subordinator(e1, as_evaluator(m2), z)
+    Z1 = _pair_subordinator(e1, as_evaluator(m2), z, start)
     return Z1, e1.G(Z1)
 
 

@@ -5,6 +5,7 @@ from freeconv import bench, idlaws, transforms
 from freeconv.bench import (ExperimentConfig, RateReport, fit_loglog_slope,
                             run_rate_experiment)
 from freeconv.errors import NotNormalized, ScheduleTooShort
+from freeconv.inversion import stieltjes_cdf
 from freeconv.measures import bernoulli_measure, make_atomic, semicircle_measure
 
 
@@ -126,3 +127,62 @@ class TestCdfPipeline:
         assert solved
         for Z1 in solved:
             assert sum(np.array_equal(p, Z1) for p in points) == 1
+
+
+def _cold(solve):
+    """The g of stieltjes_cdf that solves every eta level from z + i."""
+    def g(z):
+        return np.array([solve(row) for row in np.atleast_2d(z)]).reshape(np.shape(z))
+    return g
+
+
+def _lattice16():
+    """A 16-atom law on [-2, 2]: a jittered lattice with near-equal weights."""
+    rng = np.random.default_rng(11)
+    x = np.linspace(-1.875, 1.875, 16) + rng.uniform(-0.1, 0.1, 16)
+    return make_atomic(list(zip(x, rng.dirichlet(np.full(16, 50.0)))))
+
+
+def _table_gap(a, b):
+    return max(np.max(np.abs(a.values - b.values)),
+               np.max(np.abs(a.left_limits - b.left_limits)))
+
+
+class TestEtaLadder:
+    """power_cdf and pair_cdf solve each eta level from the subordinator of
+    the level above; the tables match cold per-level solves."""
+
+    XS = np.linspace(-4.0, 4.0, 2001)
+
+    @pytest.mark.parametrize("m", [bernoulli_measure(),
+                                   make_atomic([(-0.5, 0.8), (2.0, 0.2)]),
+                                   semicircle_measure(101)],
+                             ids=["bernoulli", "two_point", "semicircle101"])
+    @pytest.mark.parametrize("n", [4, 64, 4096])
+    def test_power_matches_cold_starts(self, m, n):
+        mu = m.dilate(np.sqrt(n))
+        ladder = bench.power_cdf(mu, n, self.XS)
+        cold = stieltjes_cdf(_cold(lambda z: bench.solve_Zn_grid(mu, n, z, tol=1e-9)[2]),
+                             self.XS)
+        assert _table_gap(ladder, cold) <= 1e-11
+
+    @pytest.mark.parametrize("m1, m2, xs", [
+        (semicircle_measure(201), _lattice16(), np.linspace(-6.0, 6.0, 401)),
+        (make_atomic([(0.0, 0.7), (1.0, 0.3)]), make_atomic([(0.0, 0.6), (2.0, 0.4)]),
+         np.linspace(-2.0, 5.0, 701))], ids=["semicircle201_atoms16", "b1_b2"])
+    def test_pair_matches_cold_starts(self, m1, m2, xs):
+        ladder = bench.pair_cdf(m1, m2, xs)
+        cold = stieltjes_cdf(_cold(lambda z: bench.solve_pair_grid(m1, m2, z)[1]), xs)
+        assert _table_gap(ladder, cold) <= 1e-13
+
+    def test_kernel_points_guard(self, monkeypatch):
+        # machine-independent: the kernel points one power table evaluates;
+        # 30032 with the ladder, 36501 with every level solved from z + i
+        points = []
+        for name in ("measure_cauchy", "measure_cauchy_with_prime"):
+            def counted(m, z, kernel=getattr(transforms, name)):
+                points.append(np.size(z))
+                return kernel(m, z)
+            monkeypatch.setattr(transforms, name, counted)
+        bench.power_cdf(bernoulli_measure().dilate(8), 64, self.XS)
+        assert sum(points) <= 31533

@@ -105,6 +105,14 @@ class TestPowerAndDistance:
                      "--grid=-2:2:101", "--out",
                      str(tmp_path / "x.csv")]) == 2
 
+    def test_measure_file_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps([[-1.0, 0.5], [1.0, 0.5]]))
+        assert main(["power", str(path), "--n", "2", "--out", str(tmp_path / "o.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["input error: a measure must be a JSON object"]
+
 
 class TestConvolve:
     def test_two_diracs(self, tmp_path, capsys):
@@ -243,6 +251,21 @@ class TestRates:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert repr(key) in captured.err
+
+    @pytest.mark.parametrize("field, value", [("n_values", 4), ("grid", 5), ("eta", 0.01),
+                                              ("grid", [-4, 4, "a"]), ("output_path", 5)],
+                             ids=["n_values_number", "grid_number", "eta_number",
+                                  "grid_string", "output_path_number"])
+    def test_config_of_wrong_type_is_refused(self, tmp_path, field, value, capsys):
+        cfg = {"measure": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]}, "n_values": [4, 8]}
+        cfg[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["rates", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("usage error: ") and repr(field) in line
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

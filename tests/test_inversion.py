@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freeconv import idlaws
+from freeconv import idlaws, inversion
 from freeconv.errors import ScheduleTooShort
 from freeconv.inversion import (CdfTable, kolmogorov, load_cdf_csv,
                                 measure_to_cdf, stieltjes_cdf,
@@ -150,6 +150,41 @@ class TestStieltjesCdf:
         t = stieltjes_cdf(g, xs)
         assert sum(points) == 1965
         assert np.max(np.abs(t.values - semicircle_cdf(xs))) < 5e-3
+
+    @pytest.mark.parametrize("atom", [False, True], ids=["continuous", "atom"])
+    def test_one_g_call_per_table(self, atom, monkeypatch):
+        # the full-grid rows are one (levels, nodes) call, largest eta first;
+        # for a pointwise g the table is the one built level by level, with
+        # a detected atom's transform subtracted level by level too
+        G, _ = idlaws.family_transform(idlaws.semicircle())
+        xs = np.linspace(-3.0, 3.0, 601)
+        x0 = xs[350]
+
+        def g(z):
+            return 0.7 * G(z) + 0.3 / (z - x0) if atom else G(z)
+
+        calls = []
+
+        def counting(z):
+            calls.append(np.array(z))
+            return g(z)
+
+        def by_level(f):
+            def rows(*args):
+                *head, z = args
+                return np.array([f(*head, r) for r in np.atleast_2d(z)]).reshape(np.shape(z))
+            return rows
+
+        schedule = (0.08, 0.04, 0.02, 0.01)
+        t = stieltjes_cdf(counting, xs, schedule)
+        assert [z.ndim for z in calls] == [2] + [1] * (len(calls) - 1)
+        assert np.array_equal(calls[0], xs + 1j * np.array([0.04, 0.02, 0.01])[:, None])
+        monkeypatch.setattr(inversion, "measure_cauchy", by_level(inversion.measure_cauchy))
+        ref = stieltjes_cdf(by_level(g), xs, schedule)
+        assert t.values.tobytes() == ref.values.tobytes()
+        assert t.left_limits.tobytes() == ref.left_limits.tobytes()
+        jumps = np.flatnonzero(t.values > t.left_limits)
+        assert jumps.tolist() == ([350] if atom else [])
 
     def test_mass_deficit_warns(self):
         G, _ = idlaws.family_transform(idlaws.semicircle())

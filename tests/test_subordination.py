@@ -195,6 +195,72 @@ class TestNewton:
         assert Z1.shape == z.shape and Z2.shape == z.shape
 
 
+def _counted(m):
+    """m as an Evaluator that records the size of every (G, G') call: one
+    per solver iteration."""
+    calls = []
+    e = transforms.as_evaluator(m)
+
+    def G_with_prime(z):
+        calls.append(np.size(z))
+        return e.G_with_prime(z)
+
+    return transforms.Evaluator(e.G, G_with_prime), calls
+
+
+class TestStart:
+    """The solvers' start is an initial guess: a start at the solution
+    stops at once, and a start does not couple the points."""
+
+    Z = np.linspace(-4, 4, 201) + 0.01j
+    POWER = (bernoulli_measure().dilate(8), 64)
+    PAIR = (semicircle_measure(201), make_atomic([(-0.5, 0.8), (2.0, 0.2)]))
+
+    def test_Zn_start_at_solution(self):
+        m, n = self.POWER
+        Zn, cold, _ = solve_Zn_grid(m, n, self.Z, tol=1e-9)
+        again, its, _ = solve_Zn_grid(m, n, self.Z, tol=1e-9, start=Zn)
+        assert cold > 2 and its <= 2
+        assert np.max(np.abs(again - Zn) / np.abs(Zn)) < 1e-9
+
+    def test_pair_start_at_solution(self):
+        m1, m2 = self.PAIR
+        Z1, _ = solve_pair_grid(m1, m2, self.Z)
+        counted, calls = _counted(m1)
+        again, _ = solve_pair_grid(counted, m2, self.Z, start=Z1)
+        assert len(calls) <= 2
+        assert np.max(np.abs(again - Z1) / np.abs(Z1)) < 1e-11
+
+    @pytest.mark.parametrize("bad", [lambda z: z.real + 0j, lambda z: z.conj(),
+                                     lambda z: z[:-1], lambda z: z[:, None]],
+                             ids=["real", "lower", "short", "column"])
+    def test_bad_start_refused(self, bad):
+        m, n = self.POWER
+        start = bad(self.Z + 1j)
+        error = ValueError if np.all(start.imag > 0) else NotUpperHalfPlane
+        with pytest.raises(error):
+            solve_Zn_grid(m, n, self.Z, start=start)
+        with pytest.raises(error):
+            solve_pair_grid(*self.PAIR, self.Z, start=start)
+
+    def test_Zn_independent_of_batch(self):
+        m, n = self.POWER
+        start, _, _ = solve_Zn_grid(m, n, self.Z + 0.01j, tol=1e-9)
+        Zn, _, _ = solve_Zn_grid(m, n, self.Z, tol=1e-9, start=start)
+        for i in range(0, self.Z.size, 10):
+            alone, _, _ = solve_Zn_grid(m, n, self.Z[i:i + 1], tol=1e-9,
+                                        start=start[i:i + 1])
+            assert alone[0] == Zn[i]
+
+    def test_pair_independent_of_batch(self):
+        m1, m2 = self.PAIR
+        start, _ = solve_pair_grid(m1, m2, self.Z + 0.01j)
+        Z1, g1 = solve_pair_grid(m1, m2, self.Z, start=start)
+        for i in range(0, self.Z.size, 10):
+            a1, b1 = solve_pair_grid(m1, m2, self.Z[i:i + 1], start=start[i:i + 1])
+            assert a1[0] == Z1[i] and b1[0] == g1[i]
+
+
 class TestMassIdentity:
     @pytest.mark.parametrize("m", [bernoulli_measure(), semicircle_measure(2001)],
                              ids=["bernoulli", "semicircle"])
