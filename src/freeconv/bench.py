@@ -10,6 +10,7 @@ slope fit summarizes the empirical decay rate.
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,17 @@ from .subordination import solve_pair_grid, solve_Zn_grid
 DEFAULT_GRID = (-4.0, 4.0, 2001)
 
 
+def _integer(v, what: str) -> int:
+    """v as an int; ValueError for a bool or a value of no integer type,
+    such as 2.5 (or 4.0), which int() would truncate."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"{what}: {v!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     measure: Measure
@@ -31,12 +43,13 @@ class ExperimentConfig:
     eta_schedule: tuple = DEFAULT_ETA
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_values)
+        ns = tuple(_integer(n, "n_values") for n in self.n_values)
         if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_values must be at least two increasing integers")
         if ns[0] < 1:
             raise ValueError("n_values must be positive")
         lo, hi, points = self.grid
+        points = _integer(points, "grid points")
         if points < 101:
             raise ValueError("grid needs at least 101 points")
         if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -44,7 +57,7 @@ class ExperimentConfig:
         if hi <= lo:
             raise ValueError("grid bounds must be increasing")
         object.__setattr__(self, "n_values", ns)
-        object.__setattr__(self, "grid", (float(lo), float(hi), int(points)))
+        object.__setattr__(self, "grid", (float(lo), float(hi), points))
         object.__setattr__(self, "eta_schedule", _eta_levels(self.eta_schedule))
 
 
@@ -71,20 +84,51 @@ class RateReport:
             fh.write(self.to_csv())
 
 
+def _level(z):
+    """The one imaginary part of all points of a nonempty 1-d z, else None."""
+    if z.ndim != 1 or not z.size:
+        return None
+    eta = z.imag[0]
+    return eta if np.all(z.imag == eta) else None
+
+
 def _ladder(solve):
     """The g of stieltjes_cdf from solve(z, start) -> (Z, G(Z)), a
-    subordinator solve.  The rows of np.atleast_2d(z) are solved in order,
-    each starting from the Z of the row before (the first from z + i): the
-    subordinator is continuous down to the real axis, so a row's Z at the
-    next smaller eta is a close start."""
+    subordinator solve.
+
+    A 2-d call solves the rows of z in order, each starting from the Z of
+    the row before (the first from z + i): the subordinator is continuous
+    down to the real axis, so a row's Z at the next smaller eta is a close
+    start.  Each row whose points share one eta is remembered as (x, Z),
+    its x increasing as stieltjes_cdf's grid is.  A later 1-d call whose
+    points share one eta (stieltjes_cdf's detection windows and refinement
+    subgrids) starts from the remembered row of the nearest eta, its Z
+    interpolated linearly in x (real and imaginary parts apart, clamped at
+    the row's ends).  Any other call starts from z + i.  The memory belongs
+    to this g alone, that is to one table.
+    """
+    solved = {}                 # eta -> (x, Z) of a solved row
+
+    def start(z):
+        eta = _level(z)
+        if eta is None or not solved:
+            return None
+        x, Z = solved[min(solved, key=lambda e: abs(e - eta))]
+        return np.interp(z.real, x, Z.real) + 1j * np.interp(z.real, x, Z.imag)
 
     def g(z):
+        z = np.asarray(z, dtype=complex)
+        if z.ndim == 1:
+            return solve(z, start(z))[1]
         rows = np.atleast_2d(z)
         out = np.empty(rows.shape, dtype=complex)
         Z = None
         for k, row in enumerate(rows):
             Z, out[k] = solve(row, Z)
-        return out.reshape(np.shape(z))
+            eta = _level(row)
+            if eta is not None:
+                solved[eta] = (row.real, Z)
+        return out.reshape(z.shape)
 
     return g
 

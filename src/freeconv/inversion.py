@@ -227,14 +227,16 @@ def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
     g maps complex arrays in the upper half plane to G values of the same
     shape, with -Im G >= 0.  It is called once on the (levels, nodes) array
     xs + i eta of the evaluated levels, rows in schedule order (largest eta
-    first), so a g may solve each row from the one above; atom detection
-    and cell refinement call it on 1-d arrays.  The eta schedule needs at
-    least two levels, finite, positive and strictly decreasing (else
-    ScheduleTooShort).  Interval masses at the smallest eta levels are
-    extrapolated to eta = 0 (linearly for a two-level schedule; with an
-    extra sqrt(eta) term for three, which handles square-root density
-    edges), cumulated and clipped to [0, 1].  A total that misses 1 by more
-    than MASS_WARN before the clip is warned about.
+    first), so a g may solve each row from the one above.  Every later call
+    is on a 1-d array whose points share one eta level (atom detection
+    windows at eta and 2 eta, refinement subgrids at eta, for an evaluated
+    eta), so a g may start it from its solved row of the nearest eta.  The
+    eta schedule needs at least two levels, finite, positive and strictly
+    decreasing (else ScheduleTooShort).  Interval masses at the smallest eta
+    levels are extrapolated to eta = 0 (linearly for a two-level schedule;
+    with an extra sqrt(eta) term for three, which handles square-root
+    density edges), cumulated and clipped to [0, 1].  A total that misses 1
+    by more than MASS_WARN before the clip is warned about.
 
     Only the last three levels (two for a two-level schedule) are evaluated:
     with eta_schedule (0.1, 0.05, 0.02, 0.01), g is never called at 0.1.

@@ -25,6 +25,21 @@ class TestExperimentConfig:
             with pytest.raises(ValueError):
                 ExperimentConfig(bernoulli_measure(), (2, 4), grid=grid)
 
+    @pytest.mark.parametrize("ns, grid", [((2.5, 4), (-4, 4, 201)),
+                                          ((True, 4), (-4, 4, 201)),
+                                          ((2, 4), (-4, 4, 201.7))],
+                             ids=["n_2.5", "n_true", "points_201.7"])
+    def test_non_integers_are_refused(self, ns, grid):
+        # int() would run n = 2, n = 1 and 201 points without a word
+        with pytest.raises(ValueError, match="not an integer"):
+            ExperimentConfig(bernoulli_measure(), ns, grid=grid)
+
+    def test_numpy_integers_are_kept(self):
+        cfg = ExperimentConfig(bernoulli_measure(), np.array([2, 4]),
+                               grid=(-4, 4, np.int64(201)))
+        assert cfg.n_values == (2, 4) and cfg.grid == (-4.0, 4.0, 201)
+        assert all(type(v) is int for v in (*cfg.n_values, cfg.grid[2]))
+
     @pytest.mark.parametrize("eta", [(0.01,), (float("inf"), 0.01),
                                      (0.02, float("nan")), (0.01, 0.02),
                                      (0.02, 0.0)],
@@ -175,14 +190,71 @@ class TestEtaLadder:
         cold = stieltjes_cdf(_cold(lambda z: bench.solve_pair_grid(m1, m2, z)[1]), xs)
         assert _table_gap(ladder, cold) <= 1e-13
 
-    def test_kernel_points_guard(self, monkeypatch):
-        # machine-independent: the kernel points one power table evaluates;
-        # 30032 with the ladder, 36501 with every level solved from z + i
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_coarse_power_matches_cold_starts(self, monkeypatch, n):
+        # the rates_grid shape: on 201 nodes cells are refined at every
+        # level, so the table's 1-d calls start from the ladder's rows
+        warm = []
+        solve = bench.solve_Zn_grid
+
+        def recorded(source, n, z, tol, start=None):
+            warm.append(start is not None)
+            return solve(source, n, z, tol=tol, start=start)
+
+        monkeypatch.setattr(bench, "solve_Zn_grid", recorded)
+        mu = semicircle_measure(101).dilate(np.sqrt(n))
+        xs = np.linspace(-4.0, 4.0, 201)
+        ladder = bench.power_cdf(mu, n, xs)
+        # three ladder rows, the first from z + i, then the refinements
+        assert len(warm) > 3 and not warm[0] and all(warm[1:])
+        cold = stieltjes_cdf(_cold(lambda z: solve(mu, n, z, tol=1e-9)[2]), xs)
+        assert _table_gap(ladder, cold) <= 1e-11
+
+    def test_other_calls_start_cold(self):
+        # bit for bit the cold solve: any 1-d call before a row is solved,
+        # and a 1-d call of mixed eta after
+        mu = semicircle_measure(101).dilate(2.0)
+
+        def solve(z, start):
+            Zn, _, g = bench.solve_Zn_grid(mu, 4, z, tol=1e-9, start=start)
+            return Zn, g
+
+        x = np.linspace(-2.0, 2.0, 7)
+        one_eta, mixed = x + 0.01j, x + 1j * np.linspace(0.01, 0.04, 7)
+        g = bench._ladder(solve)
+        assert np.array_equal(g(one_eta), solve(one_eta, None)[1])
+        g(np.linspace(-4.0, 4.0, 201) + 1j * np.array([0.04, 0.02, 0.01])[:, None])
+        assert np.array_equal(g(mixed), solve(mixed, None)[1])
+        # one eta now starts from the row at 0.01, and stops elsewhere
+        assert not np.array_equal(g(one_eta), solve(one_eta, None)[1])
+
+    @staticmethod
+    def _kernel_points(monkeypatch, table):
+        """The kernel points (measure_cauchy and measure_cauchy_with_prime)
+        that table() evaluates; machine-independent."""
         points = []
         for name in ("measure_cauchy", "measure_cauchy_with_prime"):
             def counted(m, z, kernel=getattr(transforms, name)):
                 points.append(np.size(z))
                 return kernel(m, z)
             monkeypatch.setattr(transforms, name, counted)
-        bench.power_cdf(bernoulli_measure().dilate(8), 64, self.XS)
-        assert sum(points) <= 31533
+        table()
+        return sum(points)
+
+    def test_kernel_points_guard(self, monkeypatch):
+        # one power table on 2001 nodes; 30032 with the ladder, 36501 with
+        # every level solved from z + i
+        assert self._kernel_points(monkeypatch, lambda: bench.power_cdf(
+            bernoulli_measure().dilate(8), 64, self.XS)) <= 31533
+
+    def test_coarse_power_kernel_points_guard(self, monkeypatch):
+        # 5001 with the refinement subgrids started from the ladder's rows,
+        # 6781 with them solved from z + i; the bound is 5001 plus 5%
+        assert self._kernel_points(monkeypatch, lambda: bench.power_cdf(
+            semicircle_measure(101).dilate(2), 4, np.linspace(-4.0, 4.0, 201))) <= 5251
+
+    def test_pair_kernel_points_guard(self, monkeypatch):
+        # 12667 with the 1-d calls started from the ladder's rows, 14735 with
+        # them solved from z + i; the bound is 12667 plus 5%
+        assert self._kernel_points(monkeypatch, lambda: bench.pair_cdf(
+            semicircle_measure(201), _lattice16(), np.linspace(-6.0, 6.0, 401))) <= 13300

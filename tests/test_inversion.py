@@ -178,6 +178,8 @@ class TestStieltjesCdf:
         schedule = (0.08, 0.04, 0.02, 0.01)
         t = stieltjes_cdf(counting, xs, schedule)
         assert [z.ndim for z in calls] == [2] + [1] * (len(calls) - 1)
+        # every 1-d call holds one eta level, which bench._ladder relies on
+        assert all(np.ptp(z.imag) == 0 for z in calls[1:])
         assert np.array_equal(calls[0], xs + 1j * np.array([0.04, 0.02, 0.01])[:, None])
         monkeypatch.setattr(inversion, "measure_cauchy", by_level(inversion.measure_cauchy))
         ref = stieltjes_cdf(by_level(g), xs, schedule)
