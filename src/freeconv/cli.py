@@ -137,15 +137,13 @@ def _cmd_idcheck(args) -> int:
     return 0
 
 
-def _config_list(raw, key, default, integer=False) -> tuple:
+def _config_list(raw, key, default) -> tuple:
     """raw[key] (default when absent; required when default is None) as a
-    tuple; refused unless it is a list of JSON numbers, or of integers."""
+    tuple; refused unless it is a list of JSON numbers.  ExperimentConfig
+    decides which of them must be integers."""
     value = raw[key] if default is None else raw.get(key, default)
-    if not (isinstance(value, (list, tuple)) and all(
-            measures._is_number(v) and (isinstance(v, int) or not integer)
-            for v in value)):
-        what = "integers" if integer else "numbers"
-        raise _UsageError(f"rates config {key!r} must be a list of {what}")
+    if not measures._is_numbers(value):
+        raise _UsageError(f"rates config {key!r} must be a list of numbers")
     return tuple(value)
 
 
@@ -159,15 +157,14 @@ def _cmd_rates(args) -> int:
         raise _UsageError(f"unknown rates config keys {unknown}; "
                           f"expected keys from {sorted(RATES_KEYS)}")
     grid = _config_list(raw, "grid", bench.DEFAULT_GRID)
-    if len(grid) != 3 or not isinstance(grid[2], int):
-        raise _UsageError("rates config 'grid' must be [lo, hi, points] "
-                          "with an integer number of points")
+    if len(grid) != 3:
+        raise _UsageError("rates config 'grid' must be [lo, hi, points]")
     out = raw.get("output_path")
     if out is not None and not isinstance(out, str):
         raise _UsageError("rates config 'output_path' must be a string")
     cfg = bench.ExperimentConfig(
         measure=measures.from_json_dict(raw["measure"]),
-        n_values=_config_list(raw, "n_values", None, integer=True),
+        n_values=_config_list(raw, "n_values", None),
         grid=grid,
         eta_schedule=_parse_eta(args.eta,
                                 default=_config_list(raw, "eta", bench.DEFAULT_ETA)),

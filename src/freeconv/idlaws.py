@@ -9,6 +9,8 @@ Voiculescu transform is 1/(z - a), so its free cumulants are a^(k-2): w_a is
 the standardized free Poisson law of rate 1/a^2, and w_0 the standard
 semicircle law.  Every family is therefore the law of c + s W with W ~ w_a
 (family_affine), and its transform and grid measure are built from w_a's.
+Each family is one row of _FAMILIES, which also fixes the parameters a
+FamilySpec may set: each finite, the variance positive, else OutOfRange.
 """
 
 from __future__ import annotations
@@ -20,33 +22,41 @@ import numpy as np
 from . import measures
 from .errors import InversionDiverged, OutOfRange
 from .measures import Measure
-from .transforms import as_evaluator, newton_invert
+from .transforms import _evaluator, as_evaluator, newton_invert
 
-FAMILY_NAMES = ("semicircle", "free_poisson", "meixner_w")
+# name -> (default params, the param that is the variance s^2 and must be
+# positive, or None for s = 1, and (params, s) -> (a, c) of family_affine)
+_FAMILIES = {
+    "semicircle": ({"mean": 0.0, "variance": 1.0}, "variance",
+                   lambda p, s: (0.0, p["mean"])),
+    "free_poisson": ({"rate": 1.0}, "rate", lambda p, s: (1.0 / s, p["rate"])),
+    "meixner_w": ({"a": 0.0}, None, lambda p, s: (p["a"], 0.0)),
+}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Closed-form law tag: usable directly as a transform source."""
+    """Closed-form law tag: usable directly as a transform source.  params
+    sets some of the family's own parameters, each finite."""
 
     name: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in FAMILY_NAMES:
+        if self.name not in _FAMILIES:
             raise OutOfRange(f"unknown family {self.name!r}")
-        p = dict(self.params)
-        if self.name == "semicircle":
-            p.setdefault("mean", 0.0)
-            p.setdefault("variance", 1.0)
-            if p["variance"] <= 0:
-                raise OutOfRange("semicircle variance must be positive")
-        elif self.name == "free_poisson":
-            p.setdefault("rate", 1.0)
-            if p["rate"] <= 0:
-                raise OutOfRange("free Poisson rate must be positive")
-        else:
-            p.setdefault("a", 0.0)
+        defaults, variance, _ = _FAMILIES[self.name]
+        unknown = sorted(set(self.params) - set(defaults))
+        if unknown:
+            raise OutOfRange(f"{self.name} has no parameters {unknown}; "
+                             f"expected keys from {sorted(defaults)}")
+        p = {**defaults, **self.params}
+        for key, v in p.items():
+            if not np.isfinite(v):
+                raise OutOfRange(f"{self.name} {key} must be finite, not {v!r}")
+        if variance and p[variance] <= 0:
+            raise OutOfRange(f"{self.name} {variance} must be positive")
         object.__setattr__(self, "params", p)
 
 
@@ -62,40 +72,23 @@ def meixner_w(a: float) -> FamilySpec:
     return FamilySpec("meixner_w", {"a": a})
 
 
-def _edge_sqrt(z, lo, hi):
-    """sqrt((z-lo)(z-hi)) with branch cut [lo, hi], asymptotic to z at infinity."""
-    return np.sqrt(z - lo) * np.sqrt(z - hi)
-
-
-def _meixner_pair(a: float):
-    """(G, G_with_prime) of w_a; G_with_prime shares G's square root, with
-    G' = -(1 + w/S)/(2 F^2) for w = z - a, S = sqrt(w^2 - 4) and F = 1/G."""
-    def G_with_prime(z):
+def _wa_transform(a: float):
+    """transform(z, prime) of w_a: [G], with G' = -(1 + w/S)/(2 F^2) for
+    w = z - a, F = 1/G and S = sqrt(w + 2) sqrt(w - 2), the root of w^2 - 4
+    with its cut on [-2, 2], when prime."""
+    def transform(z, prime):
         z = np.asarray(z, dtype=complex)
         w = z - a
-        s = _edge_sqrt(w, -2.0, 2.0)
+        s = np.sqrt(w + 2.0) * np.sqrt(w - 2.0)
         F = a + 0.5 * (w + s)
-        g = 1.0 / F
-        _assert_branch(z, g)
-        return g, -0.5 * (1.0 + w / s) / (F * F)
-
-    def G(z):
-        z = np.asarray(z, dtype=complex)
-        w = z - a
-        g = 1.0 / (a + 0.5 * (w + _edge_sqrt(w, -2.0, 2.0)))
-        _assert_branch(z, g)
-        return g
-
-    return G, G_with_prime
-
-
-def _assert_branch(z, g):
-    up = z.imag > 0
-    if np.any(up):
-        f = 1.0 / np.asarray(g)
-        bad = up & (f.imag < np.asarray(z).imag - 1e-10)
-        if np.any(bad):
+        out = [1.0 / F]
+        if np.any((z.imag > 0) & ((1.0 / out[0]).imag < z.imag - 1e-10)):
             raise AssertionError("square-root branch violated Im(1/G) >= Im z")
+        if prime:
+            out.append(-0.5 * (1.0 + w / s) / (F * F))
+        return out
+
+    return transform
 
 
 def family_affine(spec: FamilySpec) -> tuple[float, float, float]:
@@ -104,13 +97,9 @@ def family_affine(spec: FamilySpec) -> tuple[float, float, float]:
     semicircle(m, v) is a = 0, c = m, s = sqrt(v); free_poisson(r) is
     a = 1/sqrt(r), c = r, s = sqrt(r); meixner_w(a) is w_a itself.
     """
-    p = spec.params
-    if spec.name == "semicircle":
-        return 0.0, p["mean"], float(np.sqrt(p["variance"]))
-    if spec.name == "free_poisson":
-        s = float(np.sqrt(p["rate"]))
-        return 1.0 / s, p["rate"], s
-    return p["a"], 0.0, 1.0
+    _, variance, a_c = _FAMILIES[spec.name]
+    s = float(np.sqrt(spec.params[variance])) if variance else 1.0
+    return (*a_c(spec.params, s), s)
 
 
 def family_transform(spec: FamilySpec):
@@ -118,17 +107,16 @@ def family_transform(spec: FamilySpec):
     G(z) = G_W((z - c)/s)/s and G'(z) = G_W'((z - c)/s)/s^2; G_with_prime
     returns (G, G') from one pass."""
     a, c, s = family_affine(spec)
-    G_W, G_with_prime_W = _meixner_pair(a)
+    transform = _wa_transform(a)
     # w_a itself skips the identity map, 17% of the rate reference tables' G time
-    if (c, s) == (0.0, 1.0):
-        return G_W, G_with_prime_W
+    if (c, s) != (0.0, 1.0):
+        wa = transform
 
-    def G_with_prime(z):
-        g, gp = G_with_prime_W((np.asarray(z, dtype=complex) - c) / s)
-        return g / s, gp / (s * s)
+        def transform(z, prime):
+            vals = wa((np.asarray(z, dtype=complex) - c) / s, prime)
+            return [v / d for v, d in zip(vals, (s, s * s))]
 
-    return (lambda z: G_W((np.asarray(z, dtype=complex) - c) / s) / s,
-            G_with_prime)
+    return _evaluator(transform)
 
 
 def family_measure(spec: FamilySpec, points: int = 4001) -> Measure:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FixedPointDiverged, NotCentered
 from .measures import Measure
-from .transforms import Evaluator, as_evaluator, require_upper
+from .transforms import Evaluator, _evaluator, as_evaluator, require_upper
 
 MAX_ITER = 10_000
 # relative tolerance of the solvers' stopping tests; bench.power_cdf passes
@@ -124,17 +124,16 @@ def power_transform(source, n: int) -> Evaluator:
     z = n Z_n - (n-1)/G(Z_n).  Both come from one solve for Z_n and one
     (G, G') pass there.  Usable wherever a transform source is.
     """
-    G_with_prime = as_evaluator(source).G_with_prime
+    G, G_with_prime = as_evaluator(source)
 
-    def Gn(z):
-        return solve_Zn_grid(source, n, np.asarray(z, dtype=complex))[2]
-
-    def Gn_with_prime(z):
+    def transform(z, prime):
         Zn, _ = _subordinator(G_with_prime, n, np.asarray(z, dtype=complex), TOL)
+        if not prime:
+            return [G(Zn)]
         g, gp = G_with_prime(Zn)
-        return g, gp / (n + (n - 1) * gp / (g * g))
+        return [g, gp / (n + (n - 1) * gp / (g * g))]
 
-    return Evaluator(Gn, Gn_with_prime)
+    return _evaluator(transform)
 
 
 def inverse_Zn(source, n: int, z):
@@ -206,18 +205,17 @@ def pair_transform(m1, m2) -> Evaluator:
     """
     e1, e2 = as_evaluator(m1), as_evaluator(m2)
 
-    def G(z):
-        return solve_pair_grid(m1, m2, np.asarray(z, dtype=complex))[1]
-
-    def G_with_prime(z):
+    def transform(z, prime):
         z = np.asarray(z, dtype=complex)
         Z1 = _pair_subordinator(e1, e2, z)
+        if not prime:
+            return [e1.G(Z1)]
         g1, g1p = e1.G_with_prime(Z1)
         g2, g2p = e2.G_with_prime(z - Z1 + 1.0 / g1)
         f1p, f2p = -g1p / (g1 * g1), -g2p / (g2 * g2)
-        return g1, g1p * f2p / (f1p + f2p - f1p * f2p)
+        return [g1, g1p * f2p / (f1p + f2p - f1p * f2p)]
 
-    return Evaluator(G, G_with_prime)
+    return _evaluator(transform)
 
 
 BISECT_TOL = 1e-10

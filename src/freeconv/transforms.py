@@ -1,9 +1,13 @@
 """Cauchy / reciprocal Cauchy / Voiculescu transforms.
 
-Evaluation sources are either a :class:`~freeconv.measures.Measure` (atom sums
-plus segment-exact integrals of the piecewise-linear density) or a closed-form
-family spec from :mod:`freeconv.idlaws`.  All evaluators are vectorized over
-complex arrays with positive imaginary part.
+Each law has one transform(z, prime) -> [G(z)], or [G(z), G'(z)] from one
+pass when prime: _measure_transform for a :class:`~freeconv.measures.Measure`
+(atom sums plus segment-exact integrals of the piecewise-linear density),
+w_a's closed form for a family spec of :mod:`freeconv.idlaws`, and one
+subordination solve for a power or a pair (:mod:`freeconv.subordination`).
+An :class:`Evaluator` makes its two calls, so the G of the one pass is G
+alone bit for bit.  All are vectorized over complex arrays in the upper
+half plane.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from .measures import Measure
 
 # Atoms: _atom_sums puts them on axis 0 and points in blocks of _BLOCK
 # elements, and sums each point left to right over the float view (numpy sums
-# a lone complex column pairwise).  Up to 3 atoms that is numpy's order over
+# a lone float column pairwise, so a lone real point is summed beside a copy
+# of itself), whatever its batch.  Up to 3 atoms that is numpy's order over
 # (points, atoms) as well, so those laws keep its bits.  Density, in zones:
 #
 # * root: far points, |z - c| > _LAURENT_RHO * R about the centre c and
@@ -133,33 +138,30 @@ class _DensityKernel:
         self.nodes = (t0[:, None] + h[:, None] * u).ravel()
         self.weights = ((half_w * (v0[:, None] * (1.0 - u) + v1[:, None] * u)).ravel(),
                         (half_w * self.d[:, None]).ravel())
-        lo, hi = float(t0[0]), float(t1[-1])
-        self.center, self.radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nu = self._moments((t0 - self.center) / self.radius,
-                           (t1 - self.center) / self.radius, h, v0, v1, np.sum)
-        self.series = (nu.astype(complex),
-                       (-np.arange(1, nu.size + 1) * nu).astype(complex))
+        (self.center,), (self.radius,), self.series = self._series(
+            np.array([0, self.size]), np.sum)
         # panel p holds the segments bounds[p] to bounds[p + 1] - 1
         n = _panel_count(self.size)
         self.bounds = np.linspace(0, self.size, n + 1).round().astype(int)
         self.whole = self._run(0, n - 1)
         self.step = _BLOCK // self.nodes.size
         if n > 1:
-            self._panel_setup()
+            self.panel_center, self.panel_radius, self.panel_series = self._series(
+                self.bounds, lambda t: np.add.reduceat(t, self.bounds[:-1]))
+            self.step = _BLOCK // self.panel_series[0].size
 
-    def _panel_setup(self):
-        """Each panel's centre, half-width and series coefficients, those of
-        the root series for the panel's restriction of p."""
-        bounds = self.bounds
+    def _series(self, bounds, total):
+        """Centres, half-widths and (G, G') series coefficients of the panels
+        whose segments run from bounds[p] to bounds[p + 1] - 1, the series of
+        each panel's restriction of p; total sums the segments' terms of each
+        panel (np.sum for the one root panel)."""
         a, b = self.t0[bounds[:-1]], self.t1[bounds[1:] - 1]
-        self.panel_center, self.panel_radius = 0.5 * (a + b), 0.5 * (b - a)
-        c, r = (np.repeat(v, np.diff(bounds)) for v in (self.panel_center,
-                                                         self.panel_radius))
+        center, radius = 0.5 * (a + b), 0.5 * (b - a)
+        c, r = (np.repeat(v, np.diff(bounds)) for v in (center, radius))
         nu = self._moments((self.t0 - c) / r, (self.t1 - c) / r, self.h, self.v0,
-                           self.v1, lambda t: np.add.reduceat(t, bounds[:-1])).T
-        self.panel_series = (nu.astype(complex),
-                             (-np.arange(1, _LAURENT_ORDER + 2) * nu).astype(complex))
-        self.step = _BLOCK // nu.size
+                           self.v1, total).T
+        return center, radius, (nu.astype(complex),
+                                (-np.arange(1, _LAURENT_ORDER + 2) * nu).astype(complex))
 
     @staticmethod
     def _moments(s0, s1, h, v0, v1, total):
@@ -313,10 +315,14 @@ def _atom_sums(pos, wts, z, prime):
     out = np.empty((1 + prime, z.size), dtype=z.dtype)
     step, wts = max(_BLOCK // pos.size, 1), wts[:, None]
     for s in range(0, z.size, step):
-        dz = z[s:s + step] - pos[:, None]
-        out[0, s:s + step] = (wts / dz).view(float).sum(axis=0).view(z.dtype)
+        zb = z[s:s + step]
+        k = zb.size
+        if k == 1 and zb.dtype == float:
+            zb = np.repeat(zb, 2)
+        dz = zb - pos[:, None]
+        out[0, s:s + k] = (wts / dz).view(float).sum(axis=0).view(z.dtype)[:k]
         if prime:
-            out[1, s:s + step] = (-wts / dz ** 2).view(float).sum(axis=0).view(z.dtype)
+            out[1, s:s + k] = (-wts / dz ** 2).view(float).sum(axis=0).view(z.dtype)[:k]
     return out
 
 
@@ -358,6 +364,12 @@ class Evaluator(NamedTuple):
 
     G: Callable
     G_with_prime: Callable
+
+
+def _evaluator(transform) -> Evaluator:
+    """The Evaluator of transform(z, prime) -> [G], or [G, G'] when prime."""
+    return Evaluator(lambda z: transform(z, False)[0],
+                     lambda z: tuple(transform(z, True)))
 
 
 def as_evaluator(source) -> Evaluator:

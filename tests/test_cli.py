@@ -51,6 +51,16 @@ class TestMoments:
         assert main(["idcheck", str(path)]) == 1
         assert capsys.readouterr().out == ""
 
+    def test_misspelt_family_parameter_is_input_error(self, tmp_path, capsys):
+        # it must not run the default variance-1 law
+        path = tmp_path / "semicircle.json"
+        path.write_text(json.dumps({"family": {"name": "semicircle",
+                                               "params": {"varaince": 4.0}}}))
+        assert main(["moments", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "varaince" in captured.err
+
 
 class TestCumulants:
     def test_semicircle(self, semicircle_file, capsys):
@@ -228,8 +238,11 @@ class TestRates:
 
     @pytest.mark.parametrize("field, value", [("grid", [-4.0, float("nan"), 201]),
                                               ("n_values", [0, 4, 8]),
-                                              ("n_values", [-2, 4, 8])],
-                             ids=["nan_bound", "zero_n", "negative_n"])
+                                              ("n_values", [-2, 4, 8]),
+                                              ("n_values", [2.5, 4]),
+                                              ("grid", [-4.0, 4.0, 201.5])],
+                             ids=["nan_bound", "zero_n", "negative_n", "fractional_n",
+                                  "fractional_points"])
     def test_bad_config_is_input_error(self, tmp_path, field, value, capsys):
         cfg = {"measure": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]},
                "n_values": [4, 8]}

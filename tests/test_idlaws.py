@@ -25,6 +25,23 @@ class TestFamilySpec:
         with pytest.raises(OutOfRange):
             free_poisson(0.0)
 
+    @pytest.mark.parametrize("name, key", [("semicircle", "varaince"),
+                                           ("free_poisson", "lambda"),
+                                           ("meixner_w", "b")])
+    def test_unknown_param_rejected(self, name, key):
+        # a misspelt key must not leave the default law in place
+        with pytest.raises(OutOfRange, match=key):
+            FamilySpec(name, {key: 2.0})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make", [lambda v: semicircle(variance=v),
+                                      lambda v: semicircle(mean=v),
+                                      free_poisson, meixner_w],
+                             ids=["sc_variance", "sc_mean", "fp", "w"])
+    def test_non_finite_param_rejected(self, make, value):
+        with pytest.raises(OutOfRange, match="finite"):
+            make(value)
+
     def test_defaults(self):
         assert semicircle().params == {"mean": 0.0, "variance": 1.0}
         assert meixner_w(0.0).params == {"a": 0.0}

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 import freeconv
 
+from freeconv import idlaws
 from freeconv.errors import (CauchyVanishes, InversionDiverged, NotCentered,
                              NotUpperHalfPlane, OutOfRange)
 from freeconv.measures import (bernoulli_measure, from_density, make_atomic,
                                semicircle_measure)
 from freeconv import transforms
 from freeconv.ncpart import moments_to_cumulants
+from freeconv.subordination import pair_transform, power_transform
 from freeconv.transforms import (Evaluator, as_evaluator,
                                  c1_index, cauchy, measure_cauchy,
                                  measure_cauchy_with_prime,
@@ -278,6 +280,16 @@ class TestNevanlinnaSigma:
         assert sig.atom_positions.size == m.atom_positions.size - 1
         assert abs(sig.mass() - m.variance()) < 1e-9
 
+    def test_real_point_independent_of_batch(self):
+        # a lone real point is summed left to right over the atoms, as a
+        # point of a batch is, not pairwise
+        m = self.random_centered_law(80, 80)
+        pos, wts = m.atom_positions, m.atom_weights
+        x = 0.5 * (pos[:-1] + pos[1:])
+        single = np.hstack([transforms._atom_sums(pos, wts, x[i:i + 1], True)
+                            for i in range(x.size)])
+        assert np.array_equal(single, transforms._atom_sums(pos, wts, x, True))
+
     def test_memory_is_bounded(self):
         # 1500 atoms: summed as (gaps, atoms) arrays this peaks at 34 MiB
         m = self.random_centered_law(1500, 0)
@@ -529,11 +541,28 @@ class TestDensityKernel:
                               measure_cauchy(m, zs))
 
 
-@pytest.mark.parametrize("name", [*_kernel_inputs(), "atoms_and_jumps"])
-def test_one_pass_equals_separate_passes(name):
-    """G of the (G, G') pass is G alone (measure_cauchy) bit for bit: Laurent
-    zone, far and near segments, at atoms, endpoint jumps.  G' is pinned by
-    the mpmath tests."""
+# laws other than a measure: each family, affine ones included, and each
+# convolution
+_LAWS = {
+    "semicircle": lambda: idlaws.semicircle(),
+    "semicircle_affine": lambda: idlaws.semicircle(0.3, 2.0),
+    "free_poisson_0.5": lambda: idlaws.free_poisson(0.5),
+    "free_poisson_2": lambda: idlaws.free_poisson(2.0),
+    "w_1.5": lambda: idlaws.meixner_w(1.5),
+    "power_grid": lambda: power_transform(semicircle_measure(201), 3),
+    "power_atomic": lambda: power_transform(bernoulli_measure(), 4),
+    "power_family": lambda: power_transform(idlaws.free_poisson(0.5), 2),
+    "pair_grid_atomic": lambda: pair_transform(semicircle_measure(201), bernoulli_measure()),
+    "pair_family_atomic": lambda: pair_transform(idlaws.semicircle(0.3, 2.0),
+                                                 make_atomic([(-1.0, 0.3), (0.5, 0.7)])),
+}
+
+
+def _one_pass_case(name):
+    """(G, G_with_prime, points) of a law of _LAWS or a kernel input."""
+    if name in _LAWS:
+        zs = (np.linspace(-5.0, 5.0, 11)[:, None] + 1j * np.geomspace(1e-3, 10.0, 4)).ravel()
+        return (*as_evaluator(_LAWS[name]()), zs)
     if name == "atoms_and_jumps":
         unif = np.linspace(-1.0, 1.0, 201)       # p jumps at both ends
         m = from_density(unif, np.ones(unif.size), normalize=True,
@@ -544,10 +573,18 @@ def test_one_pass_equals_separate_passes(name):
     if m.atom_positions.size:
         zs = np.concatenate([zs, (m.atom_positions[:, None]
                                   + np.array([1e-9j, 1e-3j, 0.1 + 1e-2j])).ravel()])
-    g, _ = measure_cauchy_with_prime(m, zs)
-    assert np.array_equal(g, measure_cauchy(m, zs))
+    return (lambda z: measure_cauchy(m, z), lambda z: measure_cauchy_with_prime(m, z), zs)
+
+
+@pytest.mark.parametrize("name", [*_kernel_inputs(), "atoms_and_jumps", *_LAWS])
+def test_one_pass_equals_separate_passes(name):
+    """G of the (G, G') pass is G alone bit for bit, at an array and at a
+    scalar z.  For a measure (measure_cauchy): Laurent zone, far and near
+    segments, at atoms, endpoint jumps; G' is pinned by the mpmath tests."""
+    G, G_with_prime, zs = _one_pass_case(name)
+    assert np.array_equal(G_with_prime(zs)[0], G(zs))
     z = complex(zs[0])
-    assert measure_cauchy_with_prime(m, z)[0] == measure_cauchy(m, z)
+    assert G_with_prime(z)[0] == G(z)
 
 
 class _CountingNumpy:
