@@ -84,51 +84,33 @@ class RateReport:
             fh.write(self.to_csv())
 
 
-def _level(z):
-    """The one imaginary part of all points of a nonempty 1-d z, else None."""
-    if z.ndim != 1 or not z.size:
-        return None
-    eta = z.imag[0]
-    return eta if np.all(z.imag == eta) else None
-
-
 def _ladder(solve):
     """The g of stieltjes_cdf from solve(z, start) -> (Z, G(Z)), a
-    subordinator solve.
+    subordinator solve; every call is a 1-d z whose points share one eta.
 
-    A 2-d call solves the rows of z in order, each starting from the Z of
-    the row before (the first from z + i): the subordinator is continuous
-    down to the real axis, so a row's Z at the next smaller eta is a close
-    start.  Each row whose points share one eta is remembered as (x, Z),
-    its x increasing as stieltjes_cdf's grid is.  A later 1-d call whose
-    points share one eta (stieltjes_cdf's detection windows and refinement
-    subgrids) starts from the remembered row of the nearest eta, its Z
-    interpolated linearly in x (real and imaginary parts apart, clamped at
-    the row's ends).  Any other call starts from z + i.  The memory belongs
-    to this g alone, that is to one table.
+    A call whose eta is below every eta solved so far is the next row (the
+    rows of stieltjes_cdf come first, largest eta first).  It starts from
+    the Z of the row above as it is (the first row from z + i): the
+    subordinator is continuous down to the real axis, so a row's Z at the
+    next smaller eta is a close start.  It is remembered as (x, Z), its x
+    increasing as stieltjes_cdf's grid is.  Any other call (stieltjes_cdf's
+    detection windows and refinement subgrids) starts from the remembered
+    row of the nearest eta, its Z interpolated linearly in x (real and
+    imaginary parts apart, clamped at the row's ends), and is not
+    remembered.  The memory belongs to this g alone, that is to one table.
     """
     solved = {}                 # eta -> (x, Z) of a solved row
 
-    def start(z):
-        eta = _level(z)
-        if eta is None or not solved:
-            return None
-        x, Z = solved[min(solved, key=lambda e: abs(e - eta))]
-        return np.interp(z.real, x, Z.real) + 1j * np.interp(z.real, x, Z.imag)
-
     def g(z):
         z = np.asarray(z, dtype=complex)
-        if z.ndim == 1:
-            return solve(z, start(z))[1]
-        rows = np.atleast_2d(z)
-        out = np.empty(rows.shape, dtype=complex)
-        Z = None
-        for k, row in enumerate(rows):
-            Z, out[k] = solve(row, Z)
-            eta = _level(row)
-            if eta is not None:
-                solved[eta] = (row.real, Z)
-        return out.reshape(z.shape)
+        eta = z.imag[0]
+        if not solved or eta < min(solved):
+            Z, G = solve(z, solved[min(solved)][1] if solved else None)
+            solved[eta] = (z.real, Z)
+            return G
+        x, Z = solved[min(solved, key=lambda e: abs(e - eta))]
+        start = np.interp(z.real, x, Z.real) + 1j * np.interp(z.real, x, Z.imag)
+        return solve(z, start)[1]
 
     return g
 

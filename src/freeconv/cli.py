@@ -38,9 +38,9 @@ def _parse_grid(text, default=None):
         raise _UsageError(f"bad grid spec {text!r}, expected lo:hi:points") from exc
 
 
-def _parse_eta(text, default=bench.DEFAULT_ETA):
+def _parse_eta(text):
     if text is None:
-        return default
+        return bench.DEFAULT_ETA
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rates", help="convergence-rate experiment from a config file")
     sp.add_argument("config")
-    sp.add_argument("--eta")
     return p
 
 
@@ -166,8 +165,7 @@ def _cmd_rates(args) -> int:
         measure=measures.from_json_dict(raw["measure"]),
         n_values=_config_list(raw, "n_values", None),
         grid=grid,
-        eta_schedule=_parse_eta(args.eta,
-                                default=_config_list(raw, "eta", bench.DEFAULT_ETA)),
+        eta_schedule=_config_list(raw, "eta", bench.DEFAULT_ETA),
     )
     report = bench.run_rate_experiment(cfg)
     if not out:

@@ -224,18 +224,19 @@ def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
     """Recover the CDF table of a probability measure from its Cauchy-transform
     evaluator g.
 
-    g maps complex arrays in the upper half plane to G values of the same
-    shape, with -Im G >= 0.  It is called once on the (levels, nodes) array
-    xs + i eta of the evaluated levels, rows in schedule order (largest eta
-    first), so a g may solve each row from the one above.  Every later call
-    is on a 1-d array whose points share one eta level (atom detection
-    windows at eta and 2 eta, refinement subgrids at eta, for an evaluated
-    eta), so a g may start it from its solved row of the nearest eta.  The
-    eta schedule needs at least two levels, finite, positive and strictly
-    decreasing (else ScheduleTooShort).  Interval masses at the smallest eta
-    levels are extrapolated to eta = 0 (linearly for a two-level schedule;
-    with an extra sqrt(eta) term for three, which handles square-root
-    density edges), cumulated and clipped to [0, 1].  A total that misses 1
+    g maps a 1-d complex array in the upper half plane, whose points share
+    one eta, to G values of the same shape, with -Im G >= 0.  Its first
+    calls are the rows xs + i eta of the evaluated levels, one call each, in
+    schedule order (largest eta first), so a g may solve each row from the
+    one above.  Every later call is at an evaluated eta or at twice the
+    smallest, never below the last row's eta: the atom detection windows at
+    eta and 2 eta, and the refinement subgrids at each evaluated eta; so a g
+    may start it from its solved row of the nearest eta.  The eta schedule
+    needs at least two levels, finite, positive and strictly decreasing
+    (else ScheduleTooShort).  Interval masses at the smallest eta levels are
+    extrapolated to eta = 0 (linearly for a two-level schedule; with an
+    extra sqrt(eta) term for three, which handles square-root density
+    edges), cumulated and clipped to [0, 1].  A total that misses 1
     by more than MASS_WARN before the clip is warned about.
 
     Only the last three levels (two for a two-level schedule) are evaluated:
@@ -249,10 +250,10 @@ def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
     jumps = np.zeros(xs.size)
     weights, skip = _extrapolation_weights(schedule)
     used = schedule[skip:]
-    # all full-grid rows in one call, largest eta first; the smallest level's
-    # row also serves atom detection
+    # the full-grid rows, largest eta first; the smallest level's row also
+    # serves atom detection
     z_rows = xs + 1j * np.asarray(used)[:, None]
-    rows = g(z_rows)
+    rows = np.array([g(z) for z in z_rows])
     atoms = _detect_atoms(g, xs, used[-1], rows[-1])
     gc = g
     if atoms:

@@ -515,9 +515,10 @@ def nevanlinna_sigma(m: Measure) -> Measure:
     steps on G (x - a)(b - x), which has no pole in the gap, each kept inside
     its bracket: a step that does not land strictly inside it is replaced by
     the bracket's midpoint, except that one rounding back to its start where
-    G is not 0 moves one float towards the zero instead.  Every pass
-    evaluates every gap, so each G has the same bits as in a pass of plain
-    bisection, and the zero found is bisection's.  F has residue
+    G is not 0 moves one float towards the zero instead.  A pass evaluates
+    only the gaps whose bracket still holds a float inside; a point's G has
+    the same bits in any batch, so each G is the one a pass of plain
+    bisection computes, and the zero found is bisection's.  F has residue
     1/G'(r) < 0 at a zero r, so the sigma atom at r weighs 1/|G'(r)|.
     """
     if not m.is_atomic():
@@ -527,20 +528,24 @@ def nevanlinna_sigma(m: Measure) -> Measure:
     pos, wts = m.atom_positions, m.atom_weights
     if pos.size == 1:
         return Measure()
-    a, b = pos[:-1], pos[1:]
-    lo, hi = a, b
-    gp_lo = gp_hi = np.zeros(a.size)
-    x = 0.5 * (a + b)
+    lo, hi = pos[:-1].copy(), pos[1:].copy()
+    gp_lo, gp_hi = np.zeros(lo.size), np.zeros(lo.size)
+    k = np.arange(lo.size)      # the open gaps
+    x = 0.5 * (lo + hi)
     while True:
         g, gp = _atom_sums(pos, wts, x, True)
         above = g > 0
-        lo, gp_lo = np.where(above, x, lo), np.where(above, gp, gp_lo)
-        hi, gp_hi = np.where(above, hi, x), np.where(above, gp_hi, gp)
-        mid = 0.5 * (lo + hi)
-        if not np.any((lo < mid) & (mid < hi)):
+        lo[k[above]], gp_lo[k[above]] = x[above], gp[above]
+        hi[k[~above]], gp_hi[k[~above]] = x[~above], gp[~above]
+        lo_k, hi_k = lo[k], hi[k]
+        mid = 0.5 * (lo_k + hi_k)
+        open_ = (lo_k < mid) & (mid < hi_k)
+        if not open_.any():
             break
-        new = x - g / (gp + g * (1.0 / (x - a) + 1.0 / (x - b)))
-        new = np.where((new == x) & (g != 0), np.nextafter(x, np.where(above, hi, lo)), new)
-        x = np.where((lo < new) & (new < hi), new, mid)
+        new = x - g / (gp + g * (1.0 / (x - pos[k]) + 1.0 / (x - pos[k + 1])))
+        new = np.where((new == x) & (g != 0),
+                       np.nextafter(x, np.where(above, hi_k, lo_k)), new)
+        x, k = np.where((lo_k < new) & (new < hi_k), new, mid)[open_], k[open_]
+    mid = 0.5 * (lo + hi)
     weights = -1.0 / np.where(mid == lo, gp_lo, gp_hi)
     return Measure(atom_positions=mid, atom_weights=weights)

@@ -210,23 +210,38 @@ class TestEtaLadder:
         cold = stieltjes_cdf(_cold(lambda z: solve(mu, n, z, tol=1e-9)[2]), xs)
         assert _table_gap(ladder, cold) <= 1e-11
 
+    @staticmethod
+    def _solve(z, start, mu=semicircle_measure(101).dilate(2.0)):
+        Zn, _, g = bench.solve_Zn_grid(mu, 4, z, tol=1e-9, start=start)
+        return Zn, g
+
     def test_other_calls_start_cold(self):
-        # bit for bit the cold solve: any 1-d call before a row is solved,
-        # and a 1-d call of mixed eta after
-        mu = semicircle_measure(101).dilate(2.0)
-
-        def solve(z, start):
-            Zn, _, g = bench.solve_Zn_grid(mu, 4, z, tol=1e-9, start=start)
-            return Zn, g
-
-        x = np.linspace(-2.0, 2.0, 7)
-        one_eta, mixed = x + 0.01j, x + 1j * np.linspace(0.01, 0.04, 7)
+        # bit for bit the cold solve: a call before any row is solved
+        solve = self._solve
+        one_eta = np.linspace(-2.0, 2.0, 7) + 0.01j
+        assert np.array_equal(bench._ladder(solve)(one_eta), solve(one_eta, None)[1])
         g = bench._ladder(solve)
-        assert np.array_equal(g(one_eta), solve(one_eta, None)[1])
-        g(np.linspace(-4.0, 4.0, 201) + 1j * np.array([0.04, 0.02, 0.01])[:, None])
-        assert np.array_equal(g(mixed), solve(mixed, None)[1])
+        for eta in (0.04, 0.02, 0.01):
+            g(np.linspace(-4.0, 4.0, 201) + 1j * eta)
         # one eta now starts from the row at 0.01, and stops elsewhere
         assert not np.array_equal(g(one_eta), solve(one_eta, None)[1])
+
+    def test_only_rows_are_remembered(self):
+        # a window at 2 eta = 0.02, no level of (0.03, 0.01), is not
+        # remembered: a second window there starts from the row of the
+        # nearest eta, not from the first window
+        solve, xs = self._solve, np.linspace(-4.0, 4.0, 201)
+        g = bench._ladder(solve)
+        g(xs + 0.03j)
+        g(xs + 0.01j)
+        g(xs[50:60] + 0.02j)
+        z = xs[140:150] + 0.02j
+        got = g(z)
+        rows = {0.03: solve(xs + 0.03j, None)[0]}
+        rows[0.01] = solve(xs + 0.01j, rows[0.03])[0]
+        Z = rows[min(rows, key=lambda e: abs(e - 0.02))]
+        start = np.interp(z.real, xs, Z.real) + 1j * np.interp(z.real, xs, Z.imag)
+        assert np.array_equal(got, solve(z, start)[1])
 
     @staticmethod
     def _kernel_points(monkeypatch, table):

@@ -229,8 +229,9 @@ class TestRates:
         cfg.write_text(json.dumps({
             "measure": {"atoms": [[-1.0, 0.5], [1.0, 0.5]]},
             "n_values": [4, 8],
+            "eta": [float(v) for v in eta.split(",")],
         }))
-        assert main(["rates", str(cfg), f"--eta={eta}"]) == 1
+        assert main(["rates", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "eta schedule" in captured.err

@@ -152,10 +152,11 @@ class TestStieltjesCdf:
         assert np.max(np.abs(t.values - semicircle_cdf(xs))) < 5e-3
 
     @pytest.mark.parametrize("atom", [False, True], ids=["continuous", "atom"])
-    def test_one_g_call_per_table(self, atom, monkeypatch):
-        # the full-grid rows are one (levels, nodes) call, largest eta first;
-        # for a pointwise g the table is the one built level by level, with
-        # a detected atom's transform subtracted level by level too
+    def test_one_g_call_per_row(self, atom, monkeypatch):
+        # every call is 1-d and of one eta; the first are the full-grid rows,
+        # largest eta first, and no later call goes below the last row's
+        # eta; the detected atom's transform is subtracted from the rows in
+        # one call, and the table is the one built level by level
         G, _ = idlaws.family_transform(idlaws.semicircle())
         xs = np.linspace(-3.0, 3.0, 601)
         x0 = xs[350]
@@ -170,19 +171,19 @@ class TestStieltjesCdf:
             return g(z)
 
         def by_level(f):
-            def rows(*args):
-                *head, z = args
-                return np.array([f(*head, r) for r in np.atleast_2d(z)]).reshape(np.shape(z))
+            def rows(m, z):
+                return np.array([f(m, r) for r in np.atleast_2d(z)]).reshape(np.shape(z))
             return rows
 
         schedule = (0.08, 0.04, 0.02, 0.01)
         t = stieltjes_cdf(counting, xs, schedule)
-        assert [z.ndim for z in calls] == [2] + [1] * (len(calls) - 1)
-        # every 1-d call holds one eta level, which bench._ladder relies on
-        assert all(np.ptp(z.imag) == 0 for z in calls[1:])
-        assert np.array_equal(calls[0], xs + 1j * np.array([0.04, 0.02, 0.01])[:, None])
+        assert all(z.ndim == 1 and np.ptp(z.imag) == 0 for z in calls)
+        for z, eta in zip(calls, (0.04, 0.02, 0.01)):
+            assert np.array_equal(z, xs + 1j * eta)
+        # the later calls: at a used level, or at 2 * 0.01, itself a level here
+        assert {z.imag[0] for z in calls[3:]} <= {0.04, 0.02, 0.01}
         monkeypatch.setattr(inversion, "measure_cauchy", by_level(inversion.measure_cauchy))
-        ref = stieltjes_cdf(by_level(g), xs, schedule)
+        ref = stieltjes_cdf(g, xs, schedule)
         assert t.values.tobytes() == ref.values.tobytes()
         assert t.left_limits.tobytes() == ref.left_limits.tobytes()
         jumps = np.flatnonzero(t.values > t.left_limits)

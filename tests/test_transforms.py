@@ -335,6 +335,9 @@ class TestNevanlinnaSigma:
         monkeypatch.setattr(transforms, "_atom_sums", counted)
         nevanlinna_sigma(self.random_centered_law(3000, 0))
         assert len(calls) <= 12
+        # only the open gaps: 18470 points in 10 passes, 29990 with every
+        # gap in every pass; the bound is 18470 plus 5%
+        assert sum(calls) <= 19393
 
 
 def _peak_bytes(fn, *args):
@@ -539,6 +542,30 @@ class TestDensityKernel:
         assert np.array_equal(single, measure_cauchy(m, zs))
         assert np.array_equal(measure_cauchy(m, zs.reshape(-1, 1))[:, 0],
                               measure_cauchy(m, zs))
+
+
+def test_long_rows_are_summed_in_chunks(monkeypatch):
+    """Next to the support of a 100001-node law (P = 141 panels) a point's
+    run of panels holds more than 8192 nodes, so _rowdot sums its rows in
+    chunks; G and G' against the closed forms of the uniform law."""
+    grid = np.linspace(-1.0, 1.0, 100001)
+    m = from_density(grid, np.ones(grid.size), normalize=True)
+    kernel = transforms._density_kernel(m)
+    z = np.append(kernel.panel_center[40:43], kernel.t0[kernel.bounds[42]]) + 1e-4j
+    widths = []
+
+    def recorded(a, w, rowdot=transforms._rowdot):
+        widths.append(w.size)
+        return rowdot(a, w)
+
+    monkeypatch.setattr(transforms, "_rowdot", recorded)
+    G, Gp = measure_cauchy_with_prime(m, z)
+    assert max(widths) > transforms._DOT_CHUNK
+    assert np.abs(G - 0.5 * np.log((z + 1) / (z - 1))).max() < 1e-14
+    assert np.abs(Gp * (z * z - 1) + 1).max() < 1e-13
+    for i in range(z.size):
+        single = measure_cauchy_with_prime(m, z[i:i + 1])
+        assert single[0][0] == G[i] and single[1][0] == Gp[i]
 
 
 # laws other than a measure: each family, affine ones included, and each
