@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -85,18 +86,20 @@ class RateReport:
 
 
 def _ladder(solve):
-    """The g of stieltjes_cdf from solve(z, start) -> (Z, G(Z)), a
-    subordinator solve; every call is a 1-d z whose points share one eta.
+    """The g of stieltjes_cdf from solve(z, start=...), a subordinator solve
+    from the first iterate start (None: the solver's own) that returns a
+    tuple, the subordinator first and G at it last, as solve_Zn_grid and
+    solve_pair_grid do; every call is a 1-d z whose points share one eta.
 
     A call whose eta is below every eta solved so far is the next row (the
     rows of stieltjes_cdf come first, largest eta first).  It starts from
-    the Z of the row above as it is (the first row from z + i): the
-    subordinator is continuous down to the real axis, so a row's Z at the
-    next smaller eta is a close start.  It is remembered as (x, Z), its x
-    increasing as stieltjes_cdf's grid is.  Any other call (stieltjes_cdf's
-    detection windows and refinement subgrids) starts from the remembered
-    row of the nearest eta, its Z interpolated linearly in x (real and
-    imaginary parts apart, clamped at the row's ends), and is not
+    the Z of the row above as it is (the first row from the solver's own
+    start): the subordinator is continuous down to the real axis, so a row's
+    Z at the next smaller eta is a close start.  It is remembered as (x, Z),
+    its x increasing as stieltjes_cdf's grid is.  Any other call
+    (stieltjes_cdf's detection windows and refinement subgrids) starts from
+    the remembered row of the nearest eta, its Z interpolated linearly in x
+    (real and imaginary parts apart, clamped at the row's ends), and is not
     remembered.  The memory belongs to this g alone, that is to one table.
     """
     solved = {}                 # eta -> (x, Z) of a solved row
@@ -105,12 +108,12 @@ def _ladder(solve):
         z = np.asarray(z, dtype=complex)
         eta = z.imag[0]
         if not solved or eta < min(solved):
-            Z, G = solve(z, solved[min(solved)][1] if solved else None)
-            solved[eta] = (z.real, Z)
-            return G
+            out = solve(z, start=solved[min(solved)][1] if solved else None)
+            solved[eta] = (z.real, out[0])
+            return out[-1]
         x, Z = solved[min(solved, key=lambda e: abs(e - eta))]
         start = np.interp(z.real, x, Z.real) + 1j * np.interp(z.real, x, Z.imag)
-        return solve(z, start)[1]
+        return solve(z, start=start)[-1]
 
     return g
 
@@ -118,20 +121,15 @@ def _ladder(solve):
 def power_cdf(source, n: int, xs, eta_schedule=DEFAULT_ETA):
     """CDF table on xs of the n-fold free convolution power of source, its
     eta levels solved as one ladder."""
-
-    def solve(z, start):
-        # 1e-9 is far below the distances being measured
-        Zn, _, g = solve_Zn_grid(source, n, z, tol=1e-9, start=start)
-        return Zn, g
-
-    return stieltjes_cdf(_ladder(solve), xs, eta_schedule)
+    # 1e-9 is far below the distances being measured
+    return stieltjes_cdf(_ladder(partial(solve_Zn_grid, source, n, tol=1e-9)),
+                         xs, eta_schedule)
 
 
 def pair_cdf(m1, m2, xs, eta_schedule=DEFAULT_ETA):
     """CDF table on xs of the free additive convolution of m1 and m2, its
     eta levels solved as one ladder."""
-    return stieltjes_cdf(_ladder(lambda z, start: solve_pair_grid(m1, m2, z, start=start)),
-                         xs, eta_schedule)
+    return stieltjes_cdf(_ladder(partial(solve_pair_grid, m1, m2)), xs, eta_schedule)
 
 
 def _rate_row(cfg: ExperimentConfig, xs, m3, n):

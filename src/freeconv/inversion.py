@@ -9,7 +9,6 @@ appear as steep rises, localized by the cell-refinement rule).
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -38,8 +37,8 @@ class CdfTable:
         xs = np.ascontiguousarray(self.xs, dtype=float)
         vals = np.ascontiguousarray(self.values, dtype=float)
         left = np.ascontiguousarray(self.left_limits, dtype=float)
-        if not (xs.shape == vals.shape == left.shape) or xs.ndim != 1:
-            raise ValueError("xs/values/left_limits must be aligned 1-d arrays")
+        if not (xs.shape == vals.shape == left.shape) or xs.ndim != 1 or not xs.size:
+            raise ValueError("xs/values/left_limits must be aligned nonempty 1-d arrays")
         # NaN passes every order check below, so it is refused first
         if not all(np.isfinite(a).all() for a in (xs, vals, left)):
             raise ValueError("xs/values/left_limits must be finite")
@@ -91,26 +90,21 @@ class CdfTable:
         return float(self.values[-1])
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("x,cdf,cdf_left\n")
-            for x, v, l in zip(self.xs, self.values, self.left_limits):
-                fh.write(f"{x:.12g},{v:.12g},{l:.12g}\n")
+        np.savetxt(path, np.column_stack((self.xs, self.values, self.left_limits)),
+                   fmt="%.12g", delimiter=",", header="x,cdf,cdf_left", comments="")
 
 
 def load_cdf_csv(path) -> CdfTable:
-    xs, vals, left = [], [], []
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header[:3]] != ["x", "cdf", "cdf_left"]:
-            raise ValueError(f"unexpected CDF CSV header: {header}")
-        for row in reader:
-            if not row:
-                continue
-            xs.append(float(row[0]))
-            vals.append(float(row[1]))
-            left.append(float(row[2]))
-    return CdfTable(np.array(xs), np.array(vals), np.array(left))
+    """The table of a CSV whose header starts x,cdf,cdf_left; ValueError for
+    any other header, a row of fewer than three numbers, or no row."""
+    with open(path) as fh, warnings.catch_warnings():
+        # loadtxt warns on a header alone; CdfTable refuses it below
+        warnings.simplefilter("ignore")
+        header = fh.readline()
+        if [h.strip() for h in header.split(",")[:3]] != ["x", "cdf", "cdf_left"]:
+            raise ValueError(f"unexpected CDF CSV header: {header.strip()!r}")
+        rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2), ndmin=2)
+    return CdfTable(*rows.T)
 
 
 @dataclass(frozen=True)
@@ -303,12 +297,9 @@ def measure_to_cdf(m: Measure) -> CdfTable:
         cum = np.concatenate(([0.0],
                               np.cumsum(0.5 * h * (m.density[:-1] + m.density[1:]))))
         dens_cum = np.interp(xs, m.grid, cum, left=0.0, right=cum[-1])
-    atom_right = np.zeros(xs.size)
-    atom_left = np.zeros(xs.size)
-    if m.atom_positions.size:
-        w_cum = np.concatenate(([0.0], np.cumsum(m.atom_weights)))
-        atom_right = w_cum[np.searchsorted(m.atom_positions, xs, side="right")]
-        atom_left = w_cum[np.searchsorted(m.atom_positions, xs, side="left")]
+    w_cum = np.concatenate(([0.0], np.cumsum(m.atom_weights)))
+    atom_right = w_cum[np.searchsorted(m.atom_positions, xs, side="right")]
+    atom_left = w_cum[np.searchsorted(m.atom_positions, xs, side="left")]
     values = np.clip(dens_cum + atom_right, 0.0, 1.0)
     left = np.clip(dens_cum + atom_left, 0.0, 1.0)
     return CdfTable(xs, values, left)

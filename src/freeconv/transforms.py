@@ -514,12 +514,13 @@ def nevanlinna_sigma(m: Measure) -> Measure:
     there.  All gaps are solved together, down to adjacent floats, by Newton
     steps on G (x - a)(b - x), which has no pole in the gap, each kept inside
     its bracket: a step that does not land strictly inside it is replaced by
-    the bracket's midpoint, except that one rounding back to its start where
-    G is not 0 moves one float towards the zero instead.  A pass evaluates
-    only the gaps whose bracket still holds a float inside; a point's G has
-    the same bits in any batch, so each G is the one a pass of plain
-    bisection computes, and the zero found is bisection's.  F has residue
-    1/G'(r) < 0 at a zero r, so the sigma atom at r weighs 1/|G'(r)|.
+    the bracket's midpoint, except that one rounding back to its start moves
+    one float towards the zero instead; a point where G is exactly 0 is the
+    zero, and closes its bracket at once.  A pass evaluates only the gaps
+    whose bracket still holds a float inside; a point's G has the same bits
+    in any batch, so each G is the one a pass of plain bisection computes,
+    and the zero found is bisection's.  F has residue 1/G'(r) < 0 at a zero
+    r, so the sigma atom at r weighs 1/|G'(r)|.
     """
     if not m.is_atomic():
         raise OutOfRange("nevanlinna_sigma requires a purely atomic measure")
@@ -534,8 +535,8 @@ def nevanlinna_sigma(m: Measure) -> Measure:
     x = 0.5 * (lo + hi)
     while True:
         g, gp = _atom_sums(pos, wts, x, True)
-        above = g > 0
-        lo[k[above]], gp_lo[k[above]] = x[above], gp[above]
+        above, below = g > 0, g < 0     # a G of exactly 0 closes its gap
+        lo[k[~below]], gp_lo[k[~below]] = x[~below], gp[~below]
         hi[k[~above]], gp_hi[k[~above]] = x[~above], gp[~above]
         lo_k, hi_k = lo[k], hi[k]
         mid = 0.5 * (lo_k + hi_k)
@@ -543,8 +544,7 @@ def nevanlinna_sigma(m: Measure) -> Measure:
         if not open_.any():
             break
         new = x - g / (gp + g * (1.0 / (x - pos[k]) + 1.0 / (x - pos[k + 1])))
-        new = np.where((new == x) & (g != 0),
-                       np.nextafter(x, np.where(above, hi_k, lo_k)), new)
+        new = np.where(new == x, np.nextafter(x, np.where(above, hi_k, lo_k)), new)
         x, k = np.where((lo_k < new) & (new < hi_k), new, mid)[open_], k[open_]
     mid = 0.5 * (lo + hi)
     weights = -1.0 / np.where(mid == lo, gp_lo, gp_hi)

@@ -104,6 +104,47 @@ class TestRateExperiment:
         assert c < 10
 
 
+def semicircle_cdf(x):
+    x = np.clip(x, -2.0, 2.0)
+    return 0.5 + x * np.sqrt(4.0 - x * x) / (4.0 * np.pi) + np.arcsin(x / 2.0) / np.pi
+
+
+def kesten_mckay_cdf(x, n):
+    """CDF of the n-fold free power of the +-1 Bernoulli law, scaled by
+    1/sqrt(n): the Kesten-McKay law, density n sqrt(4(n-1) - y^2) /
+    (2 pi (n^2 - y^2)) in y = sqrt(n) x, integrated in y = 2 sqrt(n-1) sin t."""
+    t = np.arcsin(np.clip(x * np.sqrt(n) / (2.0 * np.sqrt(n - 1.0)), -1.0, 1.0))
+    r = (n - 2.0) / n
+    return 0.5 + n / (2.0 * np.pi) * (t - r * np.arctan(r * np.tan(t)))
+
+
+class TestBernoulliRows:
+    """Bernoulli rows against the closed-form Kesten-McKay-vs-semicircle
+    distance on the same nodes (a_n = 0, so w_{a_n} is the semicircle)."""
+
+    NS = tuple(2 ** k for k in range(2, 13))
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        report = run_rate_experiment(ExperimentConfig(bernoulli_measure(), self.NS))
+        assert [n for n, _, _ in report.rows] == list(self.NS)
+        return {n: d for n, _, d in report.rows}
+
+    def test_rows_match_kesten_mckay(self, rows):
+        # the smoothed tables put every row 2.2% to 7.1% above the exact
+        # distance; the bounds sit just above that
+        xs = np.linspace(*bench.DEFAULT_GRID)
+        for n, d in rows.items():
+            exact = np.max(np.abs(kesten_mckay_cdf(xs, n) - semicircle_cdf(xs)))
+            assert abs(d - exact) <= (0.075 if n == 4 else 0.05) * exact, n
+
+    def test_one_over_n_constant(self, rows):
+        # n d -> |kappa4 - kappa3^2| / (4 pi) = 1 / (4 pi) (Chistyakov and
+        # Goetze, PTRF 2013); the rows read +2.8% and +3.7% off
+        for n in (1024, 4096):
+            assert n * rows[n] == pytest.approx(1.0 / (4.0 * np.pi), rel=0.05)
+
+
 class TestCdfPipeline:
     """power_cdf and pair_cdf take G at the subordinator from the solver."""
 

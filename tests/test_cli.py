@@ -97,6 +97,17 @@ class TestPowerAndDistance:
         assert main(["distance", good, str(bad)]) == 1
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "x,cdf,cdf_left\n",
+                                      "x,cdf,cdf_left\n0,0,0\n1,1\n"],
+                             ids=["empty", "header_only", "two_field_row"])
+    def test_malformed_table_is_input_error(self, tmp_path, text, capsys):
+        good = arcsine_csv(tmp_path / "a.csv", points=11)
+        bad = tmp_path / "b.csv"
+        bad.write_text(text)
+        assert main(["distance", good, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
+
     def test_bad_grid_spec(self, bernoulli_file, tmp_path):
         assert main(["power", bernoulli_file, "--n", "2", "--grid", "junk",
                      "--out", str(tmp_path / "x.csv")]) == 1

@@ -39,6 +39,10 @@ class TestCdfTable:
             CdfTable(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                      np.array([0.0, 1.0]))
 
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            CdfTable(np.array([]), np.array([]), np.array([]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         # NaN passes the order checks, so it must be refused on its own

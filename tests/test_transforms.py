@@ -249,6 +249,22 @@ class TestNevanlinnaSigma:
         assert sig.atom_positions == pytest.approx([0.0], abs=1e-10)
         assert sig.atom_weights == pytest.approx([1.0], abs=1e-10)
 
+    def test_zero_g_closes_its_gap(self, monkeypatch):
+        # G is exactly 0 at the first midpoint, 0: one pass, and the atom
+        # sits there, not a float below
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return atom_sums(*args)
+
+        atom_sums = transforms._atom_sums
+        monkeypatch.setattr(transforms, "_atom_sums", counted)
+        sig = nevanlinna_sigma(bernoulli_measure())
+        assert calls == [1]
+        assert sig.atom_positions.tolist() == [0.0]
+        assert sig.atom_weights.tolist() == [1.0]
+
     def test_refuses_density(self):
         mixed = from_density(np.linspace(-1.0, 1.0, 21), np.ones(21),
                              atoms=[(0.0, 0.5)], normalize=True)
