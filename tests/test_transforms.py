@@ -249,17 +249,22 @@ class TestNevanlinnaSigma:
         assert sig.atom_positions == pytest.approx([0.0], abs=1e-10)
         assert sig.atom_weights == pytest.approx([1.0], abs=1e-10)
 
-    def test_zero_g_closes_its_gap(self, monkeypatch):
-        # G is exactly 0 at the first midpoint, 0: one pass, and the atom
-        # sits there, not a float below
-        calls = []
+    @staticmethod
+    def count_passes(monkeypatch):
+        """The point count of each _atom_sums call, recorded into a list."""
+        calls, atom_sums = [], transforms._atom_sums
 
         def counted(*args):
             calls.append(args[2].size)
             return atom_sums(*args)
 
-        atom_sums = transforms._atom_sums
         monkeypatch.setattr(transforms, "_atom_sums", counted)
+        return calls
+
+    def test_zero_g_closes_its_gap(self, monkeypatch):
+        # G is exactly 0 at the first midpoint, 0: one pass, and the atom
+        # sits there, not a float below
+        calls = self.count_passes(monkeypatch)
         sig = nevanlinna_sigma(bernoulli_measure())
         assert calls == [1]
         assert sig.atom_positions.tolist() == [0.0]
@@ -341,14 +346,7 @@ class TestNevanlinnaSigma:
 
     def test_passes(self, monkeypatch):
         # bisection takes 55 passes over the gaps here, and about 3 s
-        calls = []
-
-        def counted(*args):
-            calls.append(args[2].size)
-            return atom_sums(*args)
-
-        atom_sums = transforms._atom_sums
-        monkeypatch.setattr(transforms, "_atom_sums", counted)
+        calls = self.count_passes(monkeypatch)
         nevanlinna_sigma(self.random_centered_law(3000, 0))
         assert len(calls) <= 12
         # only the open gaps: 18470 points in 10 passes, 29990 with every
