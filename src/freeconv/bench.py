@@ -132,12 +132,16 @@ def pair_cdf(m1, m2, xs, eta_schedule=DEFAULT_ETA):
     return stieltjes_cdf(_ladder(partial(solve_pair_grid, m1, m2)), xs, eta_schedule)
 
 
-def _rate_row(cfg: ExperimentConfig, xs, m3, n):
+def _rate_row(cfg: ExperimentConfig, xs, m3, n, references):
+    """(a_n, distance) of row n; references maps each a_n seen so far in the
+    run to its w_{a_n} table, which is built once."""
     mu_n = cfg.measure.dilate(np.sqrt(n))
     table = power_cdf(mu_n, n, xs, cfg.eta_schedule)
     a_n = m3 / np.sqrt(n)
-    G_ref, _ = idlaws.family_transform(idlaws.meixner_w(a_n))
-    ref_table = stieltjes_cdf(G_ref, xs, cfg.eta_schedule)
+    ref_table = references.get(a_n)
+    if ref_table is None:
+        G_ref, _ = idlaws.family_transform(idlaws.meixner_w(a_n))
+        ref_table = references[a_n] = stieltjes_cdf(G_ref, xs, cfg.eta_schedule)
     return a_n, kolmogorov(table, ref_table).distance
 
 
@@ -161,10 +165,10 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateReport:
     m3 = mu.moment(3)
     lo, hi, points = cfg.grid
     xs = np.linspace(lo, hi, points)
-    ordered, failures = [], []
+    ordered, failures, references = [], [], {}
     for n in cfg.n_values:
         try:
-            ordered.append((n, *_rate_row(cfg, xs, m3, n)))
+            ordered.append((n, *_rate_row(cfg, xs, m3, n, references)))
         except FreeconvError as exc:
             failures.append((n, str(exc)))
     if len(ordered) >= 2:

@@ -95,16 +95,20 @@ class CdfTable:
 
 
 def load_cdf_csv(path) -> CdfTable:
-    """The table of a CSV whose header starts x,cdf,cdf_left; ValueError for
-    any other header, a row of fewer than three numbers, or no row."""
-    with open(path) as fh, warnings.catch_warnings():
-        # loadtxt warns on a header alone; CdfTable refuses it below
-        warnings.simplefilter("ignore")
-        header = fh.readline()
-        if [h.strip() for h in header.split(",")[:3]] != ["x", "cdf", "cdf_left"]:
-            raise ValueError(f"unexpected CDF CSV header: {header.strip()!r}")
-        rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2), ndmin=2)
-    return CdfTable(*rows.T)
+    """The table of a CSV whose header starts x,cdf,cdf_left; ValueError,
+    its message starting with the path, for any other header, a row of fewer
+    than three numbers, no row, or a table CdfTable refuses."""
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            # loadtxt warns on a header alone; CdfTable refuses it below
+            warnings.simplefilter("ignore")
+            header = fh.readline()
+            if [h.strip() for h in header.split(",")[:3]] != ["x", "cdf", "cdf_left"]:
+                raise ValueError(f"unexpected CDF CSV header: {header.strip()!r}")
+            rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2), ndmin=2)
+        return CdfTable(*rows.T)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -306,10 +310,19 @@ def measure_to_cdf(m: Measure) -> CdfTable:
 
 
 def kolmogorov(a: CdfTable, b: CdfTable) -> DistanceReport:
-    """sup_x |F_a - F_b| over the union of both grids, using one-sided values."""
-    xs = np.union1d(a.xs, b.xs)
-    diff_right = np.abs(a.value_at(xs) - b.value_at(xs))
-    diff_left = np.abs(a.left_at(xs) - b.left_at(xs))
+    """sup_x |F_a - F_b| over the union of both grids, using one-sided values.
+
+    Tables on the same nodes are read at their nodes: their values and left
+    limits are the floats value_at and left_at return there.
+    """
+    if np.array_equal(a.xs, b.xs):
+        xs = a.xs
+        diff_right = np.abs(a.values - b.values)
+        diff_left = np.abs(a.left_limits - b.left_limits)
+    else:
+        xs = np.union1d(a.xs, b.xs)
+        diff_right = np.abs(a.value_at(xs) - b.value_at(xs))
+        diff_left = np.abs(a.left_at(xs) - b.left_at(xs))
     diff = np.maximum(diff_right, diff_left)
     i = int(np.argmax(diff))
     return DistanceReport(distance=float(diff[i]), argmax_x=float(xs[i]))

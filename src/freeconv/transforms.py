@@ -20,11 +20,17 @@ from .errors import (CauchyVanishes, InversionDiverged, NotCentered,
                      NotUpperHalfPlane, OutOfRange)
 from .measures import Measure
 
-# Atoms: _atom_sums puts them on axis 0 and points in blocks of _BLOCK
-# elements, and sums each point left to right over the float view (numpy sums
-# a lone float column pairwise, so a lone real point is summed beside a copy
-# of itself), whatever its batch.  Up to 3 atoms that is numpy's order over
-# (points, atoms) as well, so those laws keep its bits.  Density, in zones:
+# Atoms: _atom_sums puts them on axis 0 and sums each point left to right
+# over the float view (numpy sums a lone float column pairwise, so a lone real
+# point is summed beside a copy of itself), whatever its batch.  Up to 3 atoms
+# that is numpy's order over (points, atoms) as well, so those laws keep its
+# bits.  Its (atoms, points) tiles hold at most _ATOM_TILE elements, 64 KiB
+# of complex: a larger temporary is above glibc's mmap threshold (128 KiB),
+# so each pass would map and zero its pages afresh.  Points go in blocks of
+# _ATOM_TILE // atoms, at least _ATOM_MIN_POINTS; a law with more atoms than
+# a tile holds is cut into tiles that overlap by one atom, whose row is
+# replaced by the sum so far, so each point still adds its atoms in order.
+# Density, in zones:
 #
 # * root: far points, |z - c| > _LAURENT_RHO * R about the centre c and
 #   half-width R of the density's support, use the Laurent series
@@ -89,6 +95,8 @@ def _panel_count(segments: int) -> int:
 # points per block are chosen so that each temporary array holds about this
 # many elements, which bounds memory and keeps the blocks in cache
 _BLOCK = 1 << 15
+_ATOM_TILE = 1 << 12
+_ATOM_MIN_POINTS = 64
 _DOT_CHUNK = 8192
 # newton_invert stops at |1/G(w) - target| < _NEWTON_TOL * max(1, |target|)
 _NEWTON_TOL = 1e-10
@@ -313,17 +321,38 @@ def _density_kernel(m: Measure) -> _DensityKernel:
 def _atom_sums(pos, wts, z, prime):
     """[sum w/(z - x)], with -sum w/(z - x)^2 when prime, at a 1-d z."""
     out = np.empty((1 + prime, z.size), dtype=z.dtype)
-    step, wts = max(_BLOCK // pos.size, 1), wts[:, None]
+    step, tiles = _ATOM_TILE // pos.size, [(pos[:, None], wts[:, None])]
+    if step < _ATOM_MIN_POINTS:
+        # tiles of rows atoms that overlap by one, whose row carries the sum
+        # so far
+        step = _ATOM_MIN_POINTS
+        rows = _ATOM_TILE // max(min(step, z.size), 1)
+        tiles = [(pos[lo:lo + rows, None], wts[lo:lo + rows, None])
+                 for lo in range(0, pos.size - 1, rows - 1)]
     for s in range(0, z.size, step):
         zb = z[s:s + step]
         k = zb.size
         if k == 1 and zb.dtype == float:
             zb = np.repeat(zb, 2)
-        dz = zb - pos[:, None]
-        out[0, s:s + k] = (wts / dz).view(float).sum(axis=0).view(z.dtype)[:k]
+        g = gp = None
+        for x, w in tiles:
+            dz = zb - x
+            g = _carried_sum(w / dz, g)
+            if prime:
+                gp = _carried_sum(-w / dz ** 2, gp)
+        out[0, s:s + k] = g.view(z.dtype)[:k]
         if prime:
-            out[1, s:s + k] = (-wts / dz ** 2).view(float).sum(axis=0).view(z.dtype)[:k]
+            out[1, s:s + k] = gp.view(z.dtype)[:k]
     return out
+
+
+def _carried_sum(terms, carry):
+    """Column sums of terms over its float view, left to right, with the
+    first row replaced by carry unless carry is None."""
+    terms = terms.view(float)
+    if carry is not None:
+        terms[0] = carry
+    return terms.sum(axis=0)
 
 
 def _measure_transform(m: Measure, z, prime):

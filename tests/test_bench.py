@@ -96,6 +96,23 @@ class TestRateExperiment:
         b = run_rate_experiment(cfg).to_csv()
         assert a == b
 
+    @pytest.mark.parametrize("m, tables", [(bernoulli_measure(), 1),
+                                           (make_atomic([(-2.0, 0.2), (0.5, 0.8)]), 4)],
+                             ids=["bernoulli", "two_point"])
+    def test_one_reference_per_a_n(self, monkeypatch, m, tables):
+        # Bernoulli has m3 = 0, so a_n = 0 for every n: one w_0 table
+        built, family_transform = [], idlaws.family_transform
+
+        def counted(spec):
+            built.append(spec)
+            return family_transform(spec)
+
+        monkeypatch.setattr(idlaws, "family_transform", counted)
+        cfg = ExperimentConfig(m, (4, 8, 16, 32), grid=(-4, 4, 201))
+        report = run_rate_experiment(cfg)
+        assert len(built) == tables
+        assert len({a for _, a, _ in report.rows}) == tables
+
     def test_upper_envelope_constant(self):
         # distances stay below c / sqrt(n) with a small fitted constant
         cfg = ExperimentConfig(bernoulli_measure(), (4, 16, 64, 256))

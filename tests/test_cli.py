@@ -108,6 +108,18 @@ class TestPowerAndDistance:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["", "x,cdf,cdf_left\n0,0,0\n1,1\n",
+                                      "x,cdf,cdf_left\n0,0,0\n1,nan,1\n"],
+                             ids=["header", "short_row", "refused_table"])
+    def test_error_names_the_bad_file(self, tmp_path, text, capsys):
+        good = arcsine_csv(tmp_path / "good.csv", points=11)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["distance", good, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {bad}: ")
+        assert "good.csv" not in err
+
     def test_bad_grid_spec(self, bernoulli_file, tmp_path):
         assert main(["power", bernoulli_file, "--n", "2", "--grid", "junk",
                      "--out", str(tmp_path / "x.csv")]) == 1

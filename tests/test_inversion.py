@@ -3,8 +3,8 @@ import pytest
 
 from freeconv import idlaws, inversion
 from freeconv.errors import ScheduleTooShort
-from freeconv.inversion import (CdfTable, kolmogorov, load_cdf_csv,
-                                measure_to_cdf, stieltjes_cdf,
+from freeconv.inversion import (CdfTable, DistanceReport, kolmogorov,
+                                load_cdf_csv, measure_to_cdf, stieltjes_cdf,
                                 tail_smoothing_check)
 from freeconv.measures import bernoulli_measure, make_atomic, semicircle_measure
 from freeconv.bench import pair_cdf
@@ -263,6 +263,22 @@ class TestKolmogorov:
         assert kolmogorov(a, b).distance == pytest.approx(0.5)
         assert kolmogorov(measure_to_cdf(delta(0.25)),
                           measure_to_cdf(delta(0.75))).distance == pytest.approx(1.0)
+
+
+    def test_shared_nodes_read_at_nodes(self):
+        # tables on equal but distinct node arrays give the union route's
+        # report bit for bit
+        xs = np.linspace(-3.0, 3.0, 601)
+        a = stieltjes_cdf(lambda z: cauchy(semicircle_measure(201), z), xs, (0.02, 0.01))
+        atoms = make_atomic([(-1.0, 0.3), (0.0, 0.2), (1.3, 0.5)])
+        b = stieltjes_cdf(lambda z: cauchy(atoms, z), xs.copy(), (0.02, 0.01))
+        assert a.xs is not b.xs and np.array_equal(a.xs, b.xs)
+        grid = np.union1d(a.xs, b.xs)
+        diff = np.maximum(np.abs(a.value_at(grid) - b.value_at(grid)),
+                          np.abs(a.left_at(grid) - b.left_at(grid)))
+        i = int(np.argmax(diff))
+        assert kolmogorov(a, b) == DistanceReport(float(diff[i]), float(grid[i]))
+        assert kolmogorov(b, a) == DistanceReport(float(diff[i]), float(grid[i]))
 
 
 class TestTriangleProperty:

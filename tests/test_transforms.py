@@ -386,6 +386,39 @@ class TestAtomSum:
             assert np.array_equal(got[0], g) and np.array_equal(got[1], gp)
             assert np.array_equal(measure_cauchy(m, zz), g)
 
+    # (tile, min points): the default, and budgets that cut small laws into
+    # tiles; 3000 atoms in tiles of 2 would take 3000 steps per point
+    @pytest.mark.parametrize("k, budget", [
+        (k, budget) for k in (1, 2, 3, 8, 16, 3000)
+        for budget in ((4096, 64), (64, 8), (16, 4), (2, 1))
+        if k < 3000 or budget[0] >= 16])
+    def test_tiles_keep_left_to_right_bits(self, monkeypatch, k, budget):
+        """Any tile budget gives each point's left-to-right sum over its
+        atoms, for complex points, real points and a lone real point."""
+        assert (transforms._ATOM_TILE, transforms._ATOM_MIN_POINTS) == (4096, 64)
+        monkeypatch.setattr(transforms, "_ATOM_TILE", budget[0])
+        monkeypatch.setattr(transforms, "_ATOM_MIN_POINTS", budget[1])
+        law = _random_law(k, k)
+        pos, wts = law.atom_positions, law.atom_weights
+        rng = np.random.default_rng(k)
+        for z in (rng.uniform(-3.0, 3.0, 150) + 1j * rng.uniform(1e-6, 2.0, 150),
+                  rng.uniform(-3.0, 3.0, 77), rng.uniform(-3.0, 3.0, 1)):
+            if k == 3000:
+                z = z[:37]
+            g = reduce(add, [w / (z - x) for x, w in zip(pos, wts)])
+            gp = reduce(add, [-w / (z - x) ** 2 for x, w in zip(pos, wts)])
+            got = transforms._atom_sums(pos, wts, z, True)
+            assert np.array_equal(got[0], g) and np.array_equal(got[1], gp)
+            assert np.array_equal(transforms._atom_sums(pos, wts, z, False)[0], g)
+
+    def test_pass_memory_is_tiled(self):
+        # one (G, G') pass of 8 atoms at 2001 points: (8, 2001) temporaries
+        # of 256 KiB each peaked at 941 KiB
+        law = _random_law(8, 0)
+        z = np.linspace(-4.0, 4.0, 2001) + 0.01j
+        assert _peak_bytes(transforms._atom_sums, law.atom_positions,
+                           law.atom_weights, z, True) < 384 * 2**10
+
     def test_memory_is_bounded(self):
         # an (atoms, points) array would take 2001 * 1e4 * 16 bytes = 305 MiB
         m = _random_law(10_000, 0)
@@ -488,7 +521,7 @@ def _kernel_inputs():
         "atoms_and_density": from_density(sc.grid, sc.density,
                                           atoms=[(-2.5, 0.2), (0.3, 0.1)],
                                           normalize=True),
-        # about 10 points per block of the atom sum, so the points span blocks
+        # 22 points in tiles of 186 atoms, so each point's sum spans tiles
         "atoms3000": _random_law(3000, 3),
     }
 
