@@ -8,9 +8,10 @@ with the square-root branch fixed by Im z > 0  =>  Im(1/G) >= Im z.  Its
 Voiculescu transform is 1/(z - a), so its free cumulants are a^(k-2): w_a is
 the standardized free Poisson law of rate 1/a^2, and w_0 the standard
 semicircle law.  Every family is therefore the law of c + s W with W ~ w_a
-(family_affine), and its transform and grid measure are built from w_a's.
-Each family is one row of _FAMILIES, which also fixes the parameters a
-FamilySpec may set: each finite, the variance positive, else OutOfRange.
+(family_affine), and its transform and grid measure are w_a's closed form
+and grid law mapped by (a, c, s), which live here alone.  Each family is one
+row of _FAMILIES, which also fixes the parameters a FamilySpec may set: each
+finite, the variance positive, else OutOfRange.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ _FAMILIES = {
     "free_poisson": ({"rate": 1.0}, "rate", lambda p, s: (1.0 / s, p["rate"])),
     "meixner_w": ({"a": 0.0}, None, lambda p, s: (p["a"], 0.0)),
 }
-FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -72,20 +72,23 @@ def meixner_w(a: float) -> FamilySpec:
     return FamilySpec("meixner_w", {"a": a})
 
 
-def _wa_transform(a: float):
-    """transform(z, prime) of w_a: [G], with G' = -(1 + w/S)/(2 F^2) for
-    w = z - a, F = 1/G and S = sqrt(w + 2) sqrt(w - 2), the root of w^2 - 4
-    with its cut on [-2, 2], when prime."""
+def _wa_transform(a: float, c: float, s: float):
+    """transform(z, prime) of the law of c + s W, W ~ w_a: [G], with G' when
+    prime, from w_a's at u = (z - c)/s, G(z) = G_W(u)/s and
+    G'(z) = G_W'(u)/s^2.  G_W' = -(1 + w/S)/(2 F^2) for w = u - a,
+    F = 1/G_W and S = sqrt(w + 2) sqrt(w - 2), the root of w^2 - 4 with its
+    cut on [-2, 2].  At c = 0 and s = 1 every step of the map is exact."""
     def transform(z, prime):
-        z = np.asarray(z, dtype=complex)
-        w = z - a
-        s = np.sqrt(w + 2.0) * np.sqrt(w - 2.0)
-        F = a + 0.5 * (w + s)
-        out = [1.0 / F]
-        if np.any((z.imag > 0) & ((1.0 / out[0]).imag < z.imag - 1e-10)):
+        u = (np.asarray(z, dtype=complex) - c) / s
+        w = u - a
+        root = np.sqrt(w + 2.0) * np.sqrt(w - 2.0)
+        F = a + 0.5 * (w + root)
+        g = 1.0 / F
+        if np.any((u.imag > 0) & ((1.0 / g).imag < u.imag - 1e-10)):
             raise AssertionError("square-root branch violated Im(1/G) >= Im z")
+        out = [g / s]
         if prime:
-            out.append(-0.5 * (1.0 + w / s) / (F * F))
+            out.append(-0.5 * (1.0 + w / root) / (F * F) / (s * s))
         return out
 
     return transform
@@ -103,26 +106,45 @@ def family_affine(spec: FamilySpec) -> tuple[float, float, float]:
 
 
 def family_transform(spec: FamilySpec):
-    """(G, G_with_prime) closed-form evaluators for a family spec, from
-    G(z) = G_W((z - c)/s)/s and G'(z) = G_W'((z - c)/s)/s^2; G_with_prime
-    returns (G, G') from one pass."""
-    a, c, s = family_affine(spec)
-    transform = _wa_transform(a)
-    # w_a itself skips the identity map, 17% of the rate reference tables' G time
-    if (c, s) != (0.0, 1.0):
-        wa = transform
+    """(G, G_with_prime) closed-form evaluators for a family spec;
+    G_with_prime returns (G, G') from one pass."""
+    return _evaluator(_wa_transform(*family_affine(spec)))
 
-        def transform(z, prime):
-            vals = wa((np.asarray(z, dtype=complex) - c) / s, prime)
-            return [v / d for v, d in zip(vals, (s, s * s))]
 
-    return _evaluator(transform)
+def _wa_density(a: float, y):
+    """Closed-form density sqrt(4 - (y - a)^2) / (2 pi (1 + a y)) of w_a.
+
+    It is 0 off the support.  The pole -1/a lies outside the open support,
+    so 1 + a y > 0 inside it; 1 + a y vanishes on the support only at the
+    edge y = -1/a for |a| = 1 (free Poisson of rate 1), where the root is 0.
+    """
+    y = np.asarray(y, dtype=float)
+    root = 2.0 / (np.pi * 4.0) * np.sqrt(np.maximum(4.0 - (y - a) ** 2, 0.0))
+    return root / np.maximum(1.0 + a * y, np.finfo(float).tiny)
+
+
+def _wa_grid_law(a: float, c: float, s: float, points: int) -> Measure:
+    """Grid measure of the law of c + s W with W ~ w_a.
+
+    W's nodes are y = a - 2 cos(theta) on a uniform theta grid, a cosine
+    spacing that clusters points at the square-root edges of the support
+    [a - 2, a + 2], where a uniform grid loses most of its trapezoid
+    accuracy.  For |a| > 1, w_a also has the atom 1 - 1/a^2 at -1/a.
+    """
+    theta = np.linspace(0.0, np.pi, points)
+    y = a - 2.0 * np.cos(theta)
+    atoms = []
+    if abs(a) > 1.0:  # its image c - s/a is 0 up to rounding for free Poisson
+        x0 = c - s / a
+        atoms = [(0.0 if abs(x0) <= 1e-15 * abs(c) else x0, 1.0 - 1.0 / a**2)]
+    return measures.from_density(c + s * y, _wa_density(a, y) / s, atoms=atoms,
+                                 normalize=True)
 
 
 def family_measure(spec: FamilySpec, points: int = 4001) -> Measure:
     """Grid Measure realizing a family law: the (c, s) image of the w_a law
     on cosine-spaced nodes, with w_a's closed-form density and its atom."""
-    return measures._wa_grid_law(*family_affine(spec), points)
+    return _wa_grid_law(*family_affine(spec), points)
 
 
 # -- sampled infinite-divisibility verdict ----------------------------------

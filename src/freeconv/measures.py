@@ -285,39 +285,12 @@ def moment_vector(m: Measure, K: int) -> list[float]:
     return ms[1:]
 
 
-def _wa_density(a: float, y):
-    """Closed-form density sqrt(4 - (y - a)^2) / (2 pi (1 + a y)) of w_a.
-
-    It is 0 off the support.  The pole -1/a lies outside the open support,
-    so 1 + a y > 0 inside it; 1 + a y vanishes on the support only at the
-    edge y = -1/a for |a| = 1 (free Poisson of rate 1), where the root is 0.
-    """
-    y = np.asarray(y, dtype=float)
-    root = 2.0 / (np.pi * 4.0) * np.sqrt(np.maximum(4.0 - (y - a) ** 2, 0.0))
-    return root / np.maximum(1.0 + a * y, np.finfo(float).tiny)
-
-
-def _wa_grid_law(a: float, c: float, s: float, points: int) -> Measure:
-    """Grid measure of the law of c + s W with W ~ w_a.
-
-    W's nodes are y = a - 2 cos(theta) on a uniform theta grid, a cosine
-    spacing that clusters points at the square-root edges of the support
-    [a - 2, a + 2], where a uniform grid loses most of its trapezoid
-    accuracy.  For |a| > 1, w_a also has the atom 1 - 1/a^2 at -1/a.
-    """
-    theta = np.linspace(0.0, np.pi, points)
-    y = a - 2.0 * np.cos(theta)
-    atoms = []
-    if abs(a) > 1.0:  # its image c - s/a is 0 up to rounding for free Poisson
-        x0 = c - s / a
-        atoms = [(0.0 if abs(x0) <= 1e-15 * abs(c) else x0, 1.0 - 1.0 / a**2)]
-    return from_density(c + s * y, _wa_density(a, y) / s, atoms=atoms,
-                        normalize=True)
-
-
 def semicircle_measure(points: int = 2001) -> Measure:
-    """Grid measure for the standard semicircle law w_0 on cosine-spaced nodes."""
-    return _wa_grid_law(0.0, 0.0, 1.0, points)
+    """Grid measure for the standard semicircle law w_0 on cosine-spaced
+    nodes: idlaws.family_measure(idlaws.semicircle(), points)."""
+    from . import idlaws  # the w_a grid law lives there
+
+    return idlaws.family_measure(idlaws.semicircle(), points)
 
 
 def bernoulli_measure() -> Measure:

@@ -22,14 +22,14 @@ from .measures import Measure
 
 # Atoms: _atom_sums puts them on axis 0 and sums each point left to right
 # over the float view (numpy sums a lone float column pairwise, so a lone real
-# point is summed beside a copy of itself), whatever its batch.  Up to 3 atoms
-# that is numpy's order over (points, atoms) as well, so those laws keep its
-# bits.  Its (atoms, points) tiles hold at most _ATOM_TILE elements, 64 KiB
-# of complex: a larger temporary is above glibc's mmap threshold (128 KiB),
-# so each pass would map and zero its pages afresh.  Points go in blocks of
-# _ATOM_TILE // atoms, at least _ATOM_MIN_POINTS; a law with more atoms than
-# a tile holds is cut into tiles that overlap by one atom, whose row is
-# replaced by the sum so far, so each point still adds its atoms in order.
+# point is summed beside a copy of itself), whatever its batch.  Its
+# (atoms, points) tiles hold at most _ATOM_TILE elements, 64 KiB of complex,
+# below glibc's mmap threshold (128 KiB), so no temporary of a pass has its
+# pages mapped and zeroed afresh.  Points go in blocks of _ATOM_TILE // atoms,
+# at least _ATOM_MIN_POINTS, and atoms in tiles of as many rows as fit beside
+# a block, at least 2, that overlap by one atom, whose row is replaced by the
+# sum so far; so each point still adds its atoms in order, and a law of up to
+# 64 atoms is one tile.
 # Density, in zones:
 #
 # * root: far points, |z - c| > _LAURENT_RHO * R about the centre c and
@@ -321,14 +321,11 @@ def _density_kernel(m: Measure) -> _DensityKernel:
 def _atom_sums(pos, wts, z, prime):
     """[sum w/(z - x)], with -sum w/(z - x)^2 when prime, at a 1-d z."""
     out = np.empty((1 + prime, z.size), dtype=z.dtype)
-    step, tiles = _ATOM_TILE // pos.size, [(pos[:, None], wts[:, None])]
-    if step < _ATOM_MIN_POINTS:
-        # tiles of rows atoms that overlap by one, whose row carries the sum
-        # so far
-        step = _ATOM_MIN_POINTS
-        rows = _ATOM_TILE // max(min(step, z.size), 1)
-        tiles = [(pos[lo:lo + rows, None], wts[lo:lo + rows, None])
-                 for lo in range(0, pos.size - 1, rows - 1)]
+    step = max(_ATOM_TILE // pos.size, _ATOM_MIN_POINTS)
+    # tiles of rows atoms that overlap by one, whose row carries the sum so far
+    rows = max(_ATOM_TILE // max(min(step, z.size), 1), 2)
+    tiles = [(pos[lo:lo + rows, None], wts[lo:lo + rows, None])
+             for lo in range(0, max(pos.size - 1, 1), rows - 1)]
     for s in range(0, z.size, step):
         zb = z[s:s + step]
         k = zb.size

@@ -4,7 +4,7 @@ import pytest
 from freeconv import bench, idlaws, transforms
 from freeconv.bench import (ExperimentConfig, RateReport, fit_loglog_slope,
                             run_rate_experiment)
-from freeconv.errors import NotNormalized, ScheduleTooShort
+from freeconv.errors import FixedPointDiverged, NotNormalized, ScheduleTooShort
 from freeconv.inversion import stieltjes_cdf
 from freeconv.measures import bernoulli_measure, make_atomic, semicircle_measure
 
@@ -112,6 +112,24 @@ class TestRateExperiment:
         report = run_rate_experiment(cfg)
         assert len(built) == tables
         assert len({a for _, a, _ in report.rows}) == tables
+
+    @pytest.mark.parametrize("ns", [(4, 8, 16), (4, 8)])
+    def test_failed_row_is_reported(self, monkeypatch, ns):
+        solve = bench.solve_Zn_grid
+
+        def failing(source, n, z, **kwargs):
+            if n == 8:
+                raise FixedPointDiverged("boom")
+            return solve(source, n, z, **kwargs)
+
+        monkeypatch.setattr(bench, "solve_Zn_grid", failing)
+        report = run_rate_experiment(
+            ExperimentConfig(bernoulli_measure(), ns, grid=(-4, 4, 201)))
+        assert report.failed == ((8, "boom"),)
+        assert [n for n, _, _ in report.rows] == [n for n in ns if n != 8]
+        assert "# failed n=8: boom\n" in report.to_csv()
+        # one row left: no slope to fit
+        assert np.isnan(report.slope) == np.isnan(report.slope_stderr) == (len(ns) == 2)
 
     def test_upper_envelope_constant(self):
         # distances stay below c / sqrt(n) with a small fitted constant

@@ -11,7 +11,7 @@ from freeconv.inversion import stieltjes_cdf
 from freeconv import measures
 from freeconv.measures import bernoulli_measure, make_atomic
 from freeconv.subordination import power_transform
-from freeconv.transforms import cauchy
+from freeconv.transforms import Evaluator, cauchy
 
 
 class TestFamilySpec:
@@ -105,6 +105,34 @@ class TestFamilyCauchy:
         assert np.max(np.abs(a - b)) < 1e-12
 
 
+    @pytest.mark.parametrize("spec", [semicircle(), meixner_w(0.0), meixner_w(0.15),
+                                      meixner_w(-0.15), meixner_w(1.5),
+                                      semicircle(0.3, 2.0), free_poisson(0.5)],
+                             ids=["sc", "w0", "w0.15", "w-0.15", "w1.5",
+                                  "sc_shifted", "fp0.5"])
+    def test_bits_of_the_closed_form(self, spec):
+        """G and G' are w_a's closed form at u = (z - c)/s, divided by s and
+        s^2, bit for bit; at c = 0, s = 1 the map changes no bit, signed
+        zeros included."""
+        a, c, s = family_affine(spec)
+        rng = np.random.default_rng(4)
+        z = np.concatenate([
+            (np.linspace(-6.0, 6.0, 49)[:, None]
+             + 1j * np.geomspace(1e-6, 200.0, 25)).ravel(),
+            rng.uniform(-8.0, 8.0, 200) + 1j * rng.uniform(1e-8, 5.0, 200),
+            [complex(-0.0, 1.0), complex(-0.0, 1e-3), a + 2.0 + 1e-12j]])
+        u = z if (c, s) == (0.0, 1.0) else (z - c) / s
+        w = u - a
+        root = np.sqrt(w + 2.0) * np.sqrt(w - 2.0)
+        F = a + 0.5 * (w + root)
+        want = [1.0 / F, -0.5 * (1.0 + w / root) / (F * F)]
+        if (c, s) != (0.0, 1.0):
+            want = [want[0] / s, want[1] / (s * s)]
+        G, G_with_prime = family_transform(spec)
+        got = [G(z), *G_with_prime(z)]
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want[:1] + want]
+
+
 def _mp_family(spec, zs):
     """G and G' of a semicircle or free Poisson spec at zs, in 40-digit
     arithmetic from the textbook form G = 2/(u + S), S = sqrt((z-lo)(z-hi)),
@@ -181,7 +209,7 @@ class TestFamilyMeasure:
     def test_free_poisson_is_image_of_w_a(self, rate, mp_rtol):
         a, c, s = family_affine(free_poisson(rate))
         assert (a, c, s) == (1.0 / np.sqrt(rate), rate, np.sqrt(rate))
-        w = measures._wa_grid_law(a, 0.0, 1.0, 2001)
+        w = idlaws._wa_grid_law(a, 0.0, 1.0, 2001)
         m = family_measure(free_poisson(rate), 2001)
         assert np.array_equal(m.grid, c + s * w.grid)
         assert np.allclose(m.density, w.density / s, rtol=1e-12, atol=0.0)
@@ -201,7 +229,7 @@ class TestFamilyMeasure:
         G, _ = family_transform(meixner_w(a))
         y = np.linspace(a - 1.95, a + 1.95, 401)
         want = -G(y + 1e-12j).imag / np.pi
-        assert np.allclose(measures._wa_density(a, y), want, rtol=1e-9, atol=0.0)
+        assert np.allclose(idlaws._wa_density(a, y), want, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("spec", [semicircle(0.5, 2.0), free_poisson(1.0),
                                       meixner_w(1.0)],
@@ -258,6 +286,31 @@ class TestIdVerdicts:
         assert v.kind == "continuation_broken"
         assert v.detail == "continuation left the smooth branch"
         assert abs(v.z - z) < 1e-12
+
+    @staticmethod
+    def _evaluator(G, Gp):
+        return Evaluator(G, lambda z: (G(z), Gp(z)))
+
+    @pytest.mark.parametrize("case, verdict", [
+        # F = 2z: phi = -z/2 at the top
+        ("linear", "FailsAt(z=0+200j) phi grows linearly at the top"),
+        # F is constant, so Newton has no derivative to step with
+        ("constant", "ContinuationBroken(z=0+200j) no inverse at the top"),
+        # F = z down to Im z = 10, constant below: every path diverges at once
+        ("cut_off", "ContinuationBroken(z=-2+9.943j) Newton diverged"),
+    ])
+    def test_verdicts_of_synthetic_transforms(self, case, verdict):
+        zero = lambda z: np.zeros_like(np.asarray(z, dtype=complex))
+        src = {
+            "linear": self._evaluator(lambda z: 0.5 / z, lambda z: -0.5 / z**2),
+            "constant": self._evaluator(lambda z: zero(z) - 1j, zero),
+            "cut_off": self._evaluator(
+                lambda z: np.where(z.imag >= 10, 1.0 / z, -0.1j),
+                lambda z: np.where(z.imag >= 10, -1.0 / z**2, 0.0)),
+        }[case]
+        v = is_free_id_sampled(src)
+        assert not v.passes
+        assert str(v) == verdict
 
     def test_semicircle_closed_form_passes(self):
         v = is_free_id_sampled(semicircle())

@@ -59,6 +59,16 @@ class TestSolveZn:
             solve_Zn_grid(bernoulli_measure(), 50, 1j)
         assert exc.value.last_iterate is not None
 
+    def test_leaving_the_half_plane_is_reported(self):
+        # 1/(z - 5i) is no Cauchy transform: its F maps z below z + 5i
+        pole = transforms.Evaluator(lambda z: 1.0 / (z - 5j),
+                                    lambda z: (1.0 / (z - 5j), -1.0 / (z - 5j) ** 2))
+        z = np.linspace(-1.0, 1.0, 6).reshape(2, 3) + 1j
+        with pytest.raises(FixedPointDiverged,
+                           match="^iterate left the guaranteed half plane$") as exc:
+            solve_Zn_grid(pole, 4, z)
+        assert exc.value.last_iterate.shape == z.shape
+
     def test_rejects_lower_half_plane(self):
         with pytest.raises(NotUpperHalfPlane):
             solve_Zn_grid(bernoulli_measure(), 2, 1 - 1j)

@@ -401,8 +401,12 @@ class TestAtomSum:
         law = _random_law(k, k)
         pos, wts = law.atom_positions, law.atom_weights
         rng = np.random.default_rng(k)
-        for z in (rng.uniform(-3.0, 3.0, 150) + 1j * rng.uniform(1e-6, 2.0, 150),
-                  rng.uniform(-3.0, 3.0, 77), rng.uniform(-3.0, 3.0, 1)):
+        zs = [rng.uniform(-3.0, 3.0, 150) + 1j * rng.uniform(1e-6, 2.0, 150),
+              rng.uniform(-3.0, 3.0, 77), rng.uniform(-3.0, 3.0, 1)]
+        if k == 1:
+            # a block of _ATOM_TILE points or more leaves a row for 1 atom
+            zs.append(rng.uniform(-3.0, 3.0, 5000) + 1j * rng.uniform(1e-6, 2.0, 5000))
+        for z in zs:
             if k == 3000:
                 z = z[:37]
             g = reduce(add, [w / (z - x) for x, w in zip(pos, wts)])
@@ -412,8 +416,8 @@ class TestAtomSum:
             assert np.array_equal(transforms._atom_sums(pos, wts, z, False)[0], g)
 
     def test_pass_memory_is_tiled(self):
-        # one (G, G') pass of 8 atoms at 2001 points: (8, 2001) temporaries
-        # of 256 KiB each peaked at 941 KiB
+        # one (G, G') pass of 8 atoms at 2001 points; a pass over all points
+        # at once would make (8, 2001) temporaries of 256 KiB each
         law = _random_law(8, 0)
         z = np.linspace(-4.0, 4.0, 2001) + 0.01j
         assert _peak_bytes(transforms._atom_sums, law.atom_positions,
