@@ -104,7 +104,6 @@ class TestFamilyCauchy:
         b = cauchy(semicircle(), zs)
         assert np.max(np.abs(a - b)) < 1e-12
 
-
     @pytest.mark.parametrize("spec", [semicircle(), meixner_w(0.0), meixner_w(0.15),
                                       meixner_w(-0.15), meixner_w(1.5),
                                       semicircle(0.3, 2.0), free_poisson(0.5)],

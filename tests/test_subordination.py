@@ -60,7 +60,7 @@ class TestSolveZn:
         assert exc.value.last_iterate is not None
 
     def test_leaving_the_half_plane_is_reported(self):
-        # 1/(z - 5i) is no Cauchy transform: its F maps z below z + 5i
+        # 1/(z - 5i) is no Cauchy transform: F(z) = z - 5i lies below z
         pole = transforms.Evaluator(lambda z: 1.0 / (z - 5j),
                                     lambda z: (1.0 / (z - 5j), -1.0 / (z - 5j) ** 2))
         z = np.linspace(-1.0, 1.0, 6).reshape(2, 3) + 1j

@@ -404,7 +404,8 @@ class TestAtomSum:
         zs = [rng.uniform(-3.0, 3.0, 150) + 1j * rng.uniform(1e-6, 2.0, 150),
               rng.uniform(-3.0, 3.0, 77), rng.uniform(-3.0, 3.0, 1)]
         if k == 1:
-            # a block of _ATOM_TILE points or more leaves a row for 1 atom
+            # a block of 4096 points leaves room for 4096 // 4096 = 1 row,
+            # fewer than the 2 a tile needs
             zs.append(rng.uniform(-3.0, 3.0, 5000) + 1j * rng.uniform(1e-6, 2.0, 5000))
         for z in zs:
             if k == 3000:
