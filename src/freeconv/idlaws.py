@@ -78,17 +78,18 @@ def _wa_transform(a: float, c: float, s: float):
     G'(z) = G_W'(u)/s^2.  G_W' = -(1 + w/S)/(2 F^2) for w = u - a,
     F = 1/G_W and S = sqrt(w + 2) sqrt(w - 2), the root of w^2 - 4 with its
     cut on [-2, 2].  At c = 0 and s = 1 every step of the map is exact."""
+    inv_s, inv_s2 = 1.0 / s, 1.0 / (s * s)
+
     def transform(z, prime):
-        u = (np.asarray(z, dtype=complex) - c) / s
+        u = (np.asarray(z, dtype=complex) - c) * inv_s
         w = u - a
         root = np.sqrt(w + 2.0) * np.sqrt(w - 2.0)
         F = a + 0.5 * (w + root)
-        g = 1.0 / F
-        if np.any((u.imag > 0) & ((1.0 / g).imag < u.imag - 1e-10)):
+        if np.any((u.imag > 0) & (F.imag < u.imag - 1e-10)):
             raise AssertionError("square-root branch violated Im(1/G) >= Im z")
-        out = [g / s]
+        out = [1.0 / F * inv_s]
         if prime:
-            out.append(-0.5 * (1.0 + w / root) / (F * F) / (s * s))
+            out.append(-0.5 * (1.0 + w / root) / (F * F) * inv_s2)
         return out
 
     return transform

@@ -130,22 +130,21 @@ def _eta_levels(eta_schedule) -> tuple:
     return levels
 
 
-def _extrapolation_weights(schedule):
-    """Coefficients w with sum(w * m(eta_i)) -> m(0).
+def _extrapolation_weights(levels):
+    """Coefficients w with sum(w * m(eta_i)) -> m(0) over the used levels.
 
     Two levels cancel a linear-in-eta error.  Three levels fit
     m0 + a*sqrt(eta) + b*eta, which also cancels the sqrt(eta) term produced
     by inverse-square-root density edges.
     """
-    if len(schedule) >= 3:
-        etas = np.asarray(schedule[-3:])
+    etas = np.asarray(levels)
+    if etas.size == 3:
         V = np.column_stack([np.ones_like(etas), np.sqrt(etas), etas])
     else:
-        etas = np.asarray(schedule[-2:])
         V = np.column_stack([np.ones_like(etas), etas])
     e0 = np.zeros(etas.size)
     e0[0] = 1.0
-    return np.linalg.solve(V.T, e0), len(schedule) - etas.size
+    return np.linalg.solve(V.T, e0)
 
 
 def _trapezoid_cells(xs, row):
@@ -155,10 +154,8 @@ def _trapezoid_cells(xs, row):
     return dens, 0.5 * np.diff(xs) * (dens[:-1] + dens[1:])
 
 
-def _interval_masses(g, xs, eta, row):
-    """Interval masses at one eta level, and the mask of the cells refined;
-    row holds g(xs + i eta)."""
-    dens, masses = _trapezoid_cells(xs, row)
+def _varying_cells(xs, eta, dens):
+    """The cells wider than eta whose endpoint densities differ strongly."""
     # On cells no wider than eta the endpoint trapezoid is kept even where it
     # is a poor quadrature of the smoothed density: on a uniform grid its
     # aliasing error largely cancels the smoothing bias itself.  Cells WIDER
@@ -168,13 +165,12 @@ def _interval_masses(g, xs, eta, row):
     lo = np.minimum(dens[:-1], dens[1:])
     hi = np.maximum(dens[:-1], dens[1:])
     floor = 1e-9 * float(dens.max(initial=0.0))
-    flagged = (hi - lo > CELL_VARIATION * lo + floor) & (np.diff(xs) > eta)
-    _refine_cells(g, xs, eta, masses, np.nonzero(flagged)[0])
-    return masses, flagged
+    return (hi - lo > CELL_VARIATION * lo + floor) & (np.diff(xs) > eta)
 
 
-def _refine_cells(g, xs, eta, masses, idx):
-    """Re-integrate the cells idx at level eta on a subgrid, into masses."""
+def _refine_cells(g, xs, eta, masses, cells):
+    """Re-integrate the masked cells at level eta on a subgrid, into masses."""
+    idx = np.nonzero(cells)[0]
     if idx.size:
         t = np.linspace(0.0, 1.0, REFINE_FACTOR + 1)
         sub = xs[idx, None] + np.diff(xs)[idx, None] * t
@@ -234,8 +230,8 @@ def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
     (else ScheduleTooShort).  Interval masses at the smallest eta levels are
     extrapolated to eta = 0 (linearly for a two-level schedule; with an
     extra sqrt(eta) term for three, which handles square-root density
-    edges), cumulated and clipped to [0, 1].  A total that misses 1
-    by more than MASS_WARN before the clip is warned about.
+    edges), floored at 0, cumulated and capped at 1.  A total that misses 1
+    by more than MASS_WARN before the cap is warned about.
 
     Only the last three levels (two for a two-level schedule) are evaluated:
     with eta_schedule (0.1, 0.05, 0.02, 0.01), g is never called at 0.1.
@@ -244,10 +240,9 @@ def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
     if (xs.ndim != 1 or xs.size < 2 or not np.all(np.isfinite(xs))
             or np.any(np.diff(xs) <= 0)):
         raise ValueError("xs must be a strictly increasing finite grid")
-    schedule = _eta_levels(eta_schedule)
+    used = _eta_levels(eta_schedule)[-3:]
     jumps = np.zeros(xs.size)
-    weights, skip = _extrapolation_weights(schedule)
-    used = schedule[skip:]
+    weights = _extrapolation_weights(used)
     # the full-grid rows, largest eta first; the smallest level's row also
     # serves atom detection
     z_rows = xs + 1j * np.asarray(used)[:, None]
@@ -265,22 +260,19 @@ def stieltjes_cdf(g, xs, eta_schedule=DEFAULT_ETA) -> CdfTable:
             return g(z) - measure_cauchy(found, z)
 
         rows = rows - measure_cauchy(found, z_rows)
-    per_eta = [_interval_masses(gc, xs, eta, row) for eta, row in zip(used, rows)]
-    masses = sum(w * m for w, (m, _) in zip(weights, per_eta))
-    # concentrated cells get a refined re-integration at every used level;
-    # the cells a level has refined already keep their masses
-    refine = np.nonzero(masses > ATOM_CELL_THRESHOLD)[0]
-    if refine.size:
-        for eta, (m, refined) in zip(used, per_eta):
-            _refine_cells(gc, xs, eta, m, refine[~refined[refine]])
-        masses = sum(w * m for w, (m, _) in zip(weights, per_eta))
-    masses = np.maximum(masses, 0.0)
+    per_eta = [_trapezoid_cells(xs, row) for row in rows]
+    # a level refines its varying cells and the cells holding more than
+    # ATOM_CELL_THRESHOLD of the extrapolated trapezoid mass, in one call
+    heavy = sum(w * m for w, (_, m) in zip(weights, per_eta)) > ATOM_CELL_THRESHOLD
+    for eta, (dens, m) in zip(used, per_eta):
+        _refine_cells(gc, xs, eta, m, heavy | _varying_cells(xs, eta, dens))
+    masses = np.maximum(sum(w * m for w, (_, m) in zip(weights, per_eta)), 0.0)
     cont = np.concatenate(([0.0], np.cumsum(masses)))   # mass strictly below node k
     values = cont + np.cumsum(jumps)                    # F(x_k+)
     total = values[-1]
-    values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
-    left = np.clip(values - jumps, 0.0, 1.0)            # F(x_k-)
-    left = np.maximum(left, np.concatenate(([0.0], values[:-1])))
+    values = np.minimum(values, 1.0)
+    # F(x_k-), never below F(x_{k-1}+)
+    left = np.maximum(values - jumps, np.concatenate(([0.0], values[:-1])))
     if 1.0 - total > MASS_WARN:
         warnings.warn(f"inversion grid lost {1.0 - total:.3g} of 1 total mass; "
                       "widen the grid or refine the eta schedule", stacklevel=2)

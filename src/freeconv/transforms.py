@@ -27,9 +27,8 @@ from .measures import Measure
 # below glibc's mmap threshold (128 KiB), so no temporary of a pass has its
 # pages mapped and zeroed afresh.  Points go in blocks of _ATOM_TILE // atoms,
 # at least _ATOM_MIN_POINTS, and atoms in tiles of as many rows as fit beside
-# a block, at least 2, that overlap by one atom, whose row is replaced by the
-# sum so far; so each point still adds its atoms in order, and a law of up to
-# 64 atoms is one tile.
+# a block; each tile adds the sum so far to its first row, so each point still
+# adds its atoms in order, and a law of up to 64 atoms is one tile.
 # Density, in zones:
 #
 # * root: far points, |z - c| > _LAURENT_RHO * R about the centre c and
@@ -322,10 +321,10 @@ def _atom_sums(pos, wts, z, prime):
     """[sum w/(z - x)], with -sum w/(z - x)^2 when prime, at a 1-d z."""
     out = np.empty((1 + prime, z.size), dtype=z.dtype)
     step = max(_ATOM_TILE // pos.size, _ATOM_MIN_POINTS)
-    # tiles of rows atoms that overlap by one, whose row carries the sum so far
-    rows = max(_ATOM_TILE // max(min(step, z.size), 1), 2)
+    # tiles of rows atoms; each adds the sum so far to its first row
+    rows = max(_ATOM_TILE // max(min(step, z.size), 1), 1)
     tiles = [(pos[lo:lo + rows, None], wts[lo:lo + rows, None])
-             for lo in range(0, max(pos.size - 1, 1), rows - 1)]
+             for lo in range(0, pos.size, rows)]
     for s in range(0, z.size, step):
         zb = z[s:s + step]
         k = zb.size
@@ -344,11 +343,11 @@ def _atom_sums(pos, wts, z, prime):
 
 
 def _carried_sum(terms, carry):
-    """Column sums of terms over its float view, left to right, with the
-    first row replaced by carry unless carry is None."""
+    """Column sums of terms over its float view, left to right, with carry
+    added to the first row unless carry is None."""
     terms = terms.view(float)
     if carry is not None:
-        terms[0] = carry
+        terms[0] += carry
     return terms.sum(axis=0)
 
 
@@ -483,27 +482,30 @@ def newton_invert(G_with_prime, target, seed):
         zero = dF == 0
         errors.update(dict.fromkeys(act[zero].tolist(), "Newton derivative vanished"))
         act, dF = act[~zero], dF[~zero]
-        # line search over the points whose step is not yet accepted
-        todo, step, lam = act, r[act] / dF, 1.0
+        # line search: todo holds the positions in act of the points whose
+        # step is not yet accepted, and stalled marks them
+        stalled = np.ones(act.size, dtype=bool)
+        todo, step, lam = np.arange(act.size), r[act] / dF, 1.0
         for _ in range(60):
             if not todo.size:
                 break
-            w_new = w[todo] - lam * step
+            pts = act[todo]
+            w_new = w[pts] - lam * step
             up = np.flatnonzero(w_new.imag > 0)
             if up.size:
                 g_new, gp_new = G_with_prime(w_new[up])
-                r_new = 1.0 / g_new - t[todo[up]]
-                ok = np.abs(r_new) < np.abs(r[todo[up]])
+                r_new = 1.0 / g_new - t[pts[up]]
+                ok = np.abs(r_new) < np.abs(r[pts[up]])
                 done = up[ok]
-                acc = todo[done]
+                acc = pts[done]
                 w[acc], r[acc] = w_new[done], r_new[ok]
                 g[acc], gp[acc] = g_new[ok], gp_new[ok]
-                keep = np.ones(todo.size, dtype=bool)
-                keep[done] = False
+                stalled[todo[done]] = False
+                keep = stalled[todo]
                 todo, step = todo[keep], step[keep]
             lam *= 0.5
-        errors.update(dict.fromkeys(todo.tolist(), "Newton step stalled"))
-        act = np.setdiff1d(act, todo)
+        errors.update(dict.fromkeys(act[stalled].tolist(), "Newton step stalled"))
+        act = act[~stalled]
     act = act[~(np.abs(r[act]) < lim[act])]
     errors.update((i, f"Newton did not converge (residual {abs(r[i]):.3e})")
                   for i in act.tolist())

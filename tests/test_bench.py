@@ -7,6 +7,7 @@ from freeconv.bench import (ExperimentConfig, RateReport, fit_loglog_slope,
 from freeconv.errors import FixedPointDiverged, NotNormalized, ScheduleTooShort
 from freeconv.inversion import stieltjes_cdf
 from freeconv.measures import bernoulli_measure, make_atomic, semicircle_measure
+from freeconv.subordination import boundary_curve
 
 
 class TestExperimentConfig:
@@ -178,6 +179,80 @@ class TestBernoulliRows:
         # Goetze, PTRF 2013); the rows read +2.8% and +3.7% off
         for n in (1024, 4096):
             assert n * rows[n] == pytest.approx(1.0 / (4.0 * np.pi), rel=0.05)
+
+
+def wa_cdf(x, a):
+    """CDF of w_a for 0 < |a| < 1, in x = a - 2 cos(theta): (2/pi)[sin(theta)/(2a)
+    + (1 + a^2) theta/(4a^2) - (1 - a^2)/(2a^2) arctan((1 + a)/(1 - a) tan(theta/2))]."""
+    th = np.arccos(np.clip((a - x) / 2.0, -1.0, 1.0))
+    r = (1.0 + a) / (1.0 - a)
+    return (2.0 / np.pi) * (np.sin(th) / (2.0 * a) + (1.0 + a * a) * th / (4.0 * a * a)
+                            - (1.0 - a * a) / (2.0 * a * a) * np.arctan(r * np.tan(th / 2.0)))
+
+
+def power_on_boundary(nu, n, u):
+    """(x(u), F(x(u))) of the n-fold power of the atomic law nu, on the
+    boundary curve w = u + i y_n(u): x = Re(n w - (n - 1)/G(w)) and
+    F = 1 - [n sum_k w_k Arg(w - x_k) + (n - 1) Arg G(w)]/pi.  Where y_n = 0
+    the arguments are taken from above the axis: pi left of an atom, and -pi
+    where G < 0."""
+    y = boundary_curve(nu, n, u)
+    w = u + 1j * y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = transforms.as_evaluator(nu).G(w)
+        x = np.real(n * w - (n - 1) / g)
+    above = y > 0
+    arg_w = np.where(above[:, None], np.angle(w[:, None] - nu.atom_positions),
+                     np.where(u[:, None] < nu.atom_positions, np.pi, 0.0))
+    arg_g = np.where(above, np.angle(g), np.where(g.real < 0, -np.pi, 0.0))
+    return x, 1.0 - (n * arg_w @ nu.atom_weights + (n - 1) * arg_g) / np.pi
+
+
+def power_on_nodes(nu, n, xs):
+    """(F(x-), F(x+)) of the n-fold power of nu at xs: x(u) = xs bisected in u
+    to 1e-12 and F read at each end of the bracket, so that an atom at a node
+    is read one-sided."""
+    lo, hi = np.full(xs.size, -6.0), np.full(xs.size, 6.0)
+    while np.max(hi - lo) > 1e-12:
+        mid = 0.5 * (lo + hi)
+        below = power_on_boundary(nu, n, mid)[0] < xs
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return power_on_boundary(nu, n, lo)[1], power_on_boundary(nu, n, hi)[1]
+
+
+class TestTwoPointRows:
+    """two_point rows against their exact on-node distance: the power's CDF
+    read off its boundary curve, with no eta and no solver, against the
+    closed-form CDF of w_{a_n}."""
+
+    LAW = make_atomic([(-0.5, 0.8), (2.0, 0.2)])
+    # the smoothed tables put the rows +1.83%, +2.04% and +0.32% above the
+    # exact distance; the bounds sit just above that
+    BOUNDS = {4: 0.02, 16: 0.025, 64: 0.005}
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        xs = np.linspace(*bench.DEFAULT_GRID)
+        out = {}
+        for n in self.BOUNDS:
+            left, right = power_on_nodes(self.LAW.dilate(np.sqrt(n)), n, xs)
+            ref = wa_cdf(xs, self.LAW.moment(3) / np.sqrt(n))
+            out[n] = left, right, max(np.max(np.abs(left - ref)), np.max(np.abs(right - ref)))
+        return out
+
+    def test_n4_distance(self, exact):
+        # the n = 4 power has an atom of 4 * 0.8 - 3 = 0.2 at 4 * (-0.25) = -1,
+        # node 750; the distance is the polynomial method's 0.16511196
+        left, right, d = exact[4]
+        assert np.flatnonzero(right - left > 1e-9).tolist() == [750]
+        assert right[750] - left[750] == pytest.approx(0.2, abs=1e-9)
+        assert d == pytest.approx(0.16511196, abs=1e-7)
+
+    def test_rows_match_boundary_route(self, exact):
+        report = run_rate_experiment(ExperimentConfig(self.LAW, tuple(self.BOUNDS)))
+        assert [n for n, _, _ in report.rows] == list(self.BOUNDS)
+        for n, _, d in report.rows:
+            assert abs(d - exact[n][2]) <= self.BOUNDS[n] * exact[n][2], n
 
 
 class TestCdfPipeline:

@@ -140,19 +140,28 @@ class TestStieltjesCdf:
             with pytest.raises(ValueError, match="finite"):
                 stieltjes_cdf(lambda z: 1 / z, xs, (0.1, 0.05))
 
-    def test_second_refinement_pass_reuses_first(self):
-        # 31 nodes: both refinement passes fire; the second evaluates only the
-        # concentrated cells that the first pass left unrefined at each level
+    def test_each_cell_refined_once_per_level(self, monkeypatch):
+        # 31 nodes: both refinement rules fire, on cells wider than every eta
+        # and on concentrated cells; each level refines their union in one
+        # call of g, so no cell is evaluated twice at a level
         G, _ = idlaws.family_transform(idlaws.semicircle())
-        points = []
+        points, refined = [], []
 
         def g(z):
             points.append(np.size(z))
             return G(z)
 
+        def counted(*args):
+            before = len(points)
+            refine(*args)
+            refined.append((args[2], len(points) - before))
+
+        refine = inversion._refine_cells
+        monkeypatch.setattr(inversion, "_refine_cells", counted)
         xs = np.linspace(-3.0, 3.0, 31)
         t = stieltjes_cdf(g, xs)
         assert sum(points) == 1965
+        assert refined == [(eta, 1) for eta in inversion.DEFAULT_ETA]
         assert np.max(np.abs(t.values - semicircle_cdf(xs))) < 5e-3
 
     @pytest.mark.parametrize("atom", [False, True], ids=["continuous", "atom"])
@@ -186,6 +195,10 @@ class TestStieltjesCdf:
             assert np.array_equal(z, xs + 1j * eta)
         # the later calls: at a used level, or at 2 * 0.01, itself a level here
         assert {z.imag[0] for z in calls[3:]} <= {0.04, 0.02, 0.01}
+        # the unused first level leaves the table of the last three levels
+        three = stieltjes_cdf(g, xs, schedule[1:])
+        assert t.values.tobytes() == three.values.tobytes()
+        assert t.left_limits.tobytes() == three.left_limits.tobytes()
         monkeypatch.setattr(inversion, "measure_cauchy", by_level(inversion.measure_cauchy))
         ref = stieltjes_cdf(g, xs, schedule)
         assert t.values.tobytes() == ref.values.tobytes()

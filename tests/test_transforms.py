@@ -209,6 +209,32 @@ class TestNewtonInvert:
         ok = ~exc.failed
         assert np.all(np.abs(1.0 / G(exc.last_iterate[ok]) - targets[ok]) < 1e-10)
 
+    def test_failure_reasons(self):
+        # G = 1/w, so w = target solves 1/G(w) = target; G' is 0 left of
+        # Re w = -1, of the wrong sign on [-1, 1], so that every halving
+        # raises the residual, and the true -1/w^2 right of 1
+        def G_with_prime(w):
+            sign = np.where(w.real > 1.0, -1.0, 1.0)
+            return 1.0 / w, np.where(w.real < -1.0, 0.0, sign / (w * w))
+
+        points = []
+
+        def recorded(w):
+            points.append(w.size)
+            return G_with_prime(w)
+
+        targets = np.array([-2.0, 0.0, 2.0]) + 1j
+        with pytest.raises(InversionDiverged) as info:
+            newton_invert(recorded, targets, targets + 0.5j)
+        exc = info.value
+        assert str(exc) == "Newton derivative vanished at 2 of 3 points"
+        assert exc.failed.tolist() == [True, True, False]
+        assert exc.last_iterate[2] == pytest.approx(targets[2], abs=1e-12)
+        # the stalled point leaves after its 60 halvings: 3 + 2 + 59 points
+        assert sum(points) == 64
+        with pytest.raises(InversionDiverged, match="^Newton step stalled$"):
+            newton_invert(G_with_prime, targets[1], targets[1] + 0.5j)
+
     def test_G_evaluated_once_per_point(self):
         # F' is formed from the G and G' kept for each accepted iterate
         m = semicircle_measure(201)
